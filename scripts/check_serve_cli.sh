@@ -70,6 +70,11 @@ expect_reject "duplicate --trace-file"    --trace-file=a.csv --trace-file=b.csv
 expect_reject "bogus --trace-format"      --trace-file=a --trace-format=xml
 expect_reject "--trace-format alone"      --trace-format=csv
 expect_reject "negative --queue-cadence-ms" --queue-cadence-ms=-1
+expect_reject "nan --hop-ms"              --hop-ms=nan
+expect_reject "inf --zipf"                --zipf=inf
+expect_reject "overflowing --hop-ms"      --hop-ms=1e999
+expect_reject "overflowing --lookups"     --lookups=99999999999999999999999
+expect_reject "space-led --lookups"       "--lookups= 5"
 
 expect_ok "--help exits 0"           --help
 expect_ok "--list-policies exits 0"  --list-policies

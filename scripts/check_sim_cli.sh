@@ -54,8 +54,12 @@ expect_reject "missing --trace-format value"    --trace-file=a --trace-format
 expect_reject "--trace-format without file"     --trace-format=otrace
 expect_reject "negative --queue-cadence-ms"     --queue-cadence-ms=-1
 expect_reject "non-numeric --queue-cadence-ms"  --queue-cadence-ms=soon
+expect_reject "nan --queue-cadence-ms"          --queue-cadence-ms=nan
+expect_reject "overflowing --queue-cadence-ms"  --queue-cadence-ms=1e999
 expect_reject "negative --maintenance-cadence-ms"    --maintenance-cadence-ms=-5
 expect_reject "non-numeric --maintenance-cadence-ms" --maintenance-cadence-ms=often
+expect_reject "nan --maintenance-cadence-ms"    --maintenance-cadence-ms=nan
+expect_reject "inf --maintenance-cadence-ms"    --maintenance-cadence-ms=inf
 expect_reject "empty --maintenance-cadence-ms value" --maintenance-cadence-ms=
 expect_reject "missing --maintenance-cadence-ms value" --maintenance-cadence-ms
 expect_reject "empty --fault-plan value"        --fault-plan=

@@ -162,15 +162,14 @@ Result<std::vector<SearchCostRow>> RunSearchCostVsSize(
       // between churn levels are then structural, not sampling noise.
       const uint64_t eval_seed = rng->Next();
       // One freeze serves every row: the 0% row routes straight over
-      // the frozen snapshot (the routers' CSR fast path; identical
-      // routes by the view-equivalence contract), and each churn level
-      // crashes a delta-restore of it — RestoreInto repairs only the
-      // peers the previous level's crashes touched, and CrashFraction
-      // batches its ring removals — then refreezes the crashed scratch
-      // so the evaluation itself also rides the CSR steppers. Every
-      // row stays byte-identical to the historical deep-copy
-      // evaluation (guarded by topology_snapshot_test and
-      // csr_stepper_test).
+      // the frozen snapshot (identical routes by the view-equivalence
+      // contract), and each churn level crashes a delta-restore of it —
+      // RestoreInto repairs only the peers the previous level's crashes
+      // touched, and CrashFraction batches its ring removals — then
+      // refreezes the crashed scratch so the evaluation itself also
+      // reads CSR rows. Every row stays byte-identical to the
+      // historical deep-copy evaluation (guarded by
+      // topology_snapshot_test and backend_equivalence_test).
       std::optional<TopologySnapshot> frozen;
       Network scratch;  // Recycled across churn levels via RestoreInto.
       for (const double churn : churn_fractions) {

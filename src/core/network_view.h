@@ -3,9 +3,14 @@
 // value type (two pointers) constructed implicitly from either backend,
 // so every read-side consumer (routers, steppers, samplers, size
 // estimators, structural metrics) is written once and runs unchanged
-// against a growing network or a shared snapshot. Dispatch is a single
-// predictable branch per call; both backends expose the same Ring, so
-// ring queries are forwarded without translation.
+// against a growing network or a shared snapshot. Both backends expose
+// the same Ring, so ring queries are forwarded without translation.
+//
+// Per-call accessors branch on the backend once per read. Hot loops
+// (route steps, random walks, the gap estimator) instead call Visit()
+// once and run a template over the concrete backend, reading each
+// peer's links through NeighborRowOf below — the one place the
+// neighbor order routers and walks depend on is written down.
 //
 // A view does not own its backend: it is valid only while the Network
 // or TopologySnapshot it was built from is alive, and reads through a
@@ -15,6 +20,7 @@
 #ifndef OSCAR_CORE_NETWORK_VIEW_H_
 #define OSCAR_CORE_NETWORK_VIEW_H_
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -33,10 +39,18 @@ class NetworkView {
   NetworkView(const TopologySnapshot& snap) : snap_(&snap) {}  // NOLINT
 
   /// The frozen backend, or nullptr when this view reads a live
-  /// Network. Routers use it to swap in the CSR-specialized steppers —
-  /// a frozen snapshot cannot change mid-route, so the flat arrays can
-  /// be read without per-call dispatch.
+  /// Network. Algorithms do not branch on it (they go through Visit);
+  /// it tells observers which backend a call ran over.
   const TopologySnapshot* snapshot() const { return snap_; }
+
+  /// Calls fn(backend) with the concrete `const Network&` or `const
+  /// TopologySnapshot&` and returns its result: the backend is chosen
+  /// once per call instead of once per read. `fn` is typically a generic
+  /// lambda forwarding to a template over the backend type.
+  template <typename Fn>
+  decltype(auto) Visit(Fn&& fn) const {
+    return net_ ? fn(*net_) : fn(*snap_);
+  }
 
   size_t size() const { return net_ ? net_->size() : snap_->size(); }
   size_t alive_count() const { return ring().size(); }
@@ -80,31 +94,66 @@ class NetworkView {
     return out;
   }
 
-  /// Appends the routing neighbors of `id`: ring successor and
-  /// predecessor (when distinct, always alive) followed by long
-  /// out-links in stored order (possibly dead). Composed here, once,
-  /// from the backend primitives so the two backends can never drift
-  /// apart in element order — routers are order-sensitive.
-  void AppendNeighbors(PeerId id, std::vector<PeerId>* out) const {
-    const auto succ = SuccessorOf(id);
-    const auto pred = PredecessorOf(id);
-    if (succ.has_value()) out->push_back(*succ);
-    if (pred.has_value() && pred != succ) out->push_back(*pred);
-    for (PeerId target : OutLinks(id)) out->push_back(target);
-  }
-  /// Appends the undirected gossip neighborhood of `id`: routing
-  /// neighbors plus the peers holding long links TO `id`. Random walks
-  /// use this symmetric view — walking only out-links concentrates the
-  /// stationary distribution on already-popular peers.
-  void AppendWalkNeighbors(PeerId id, std::vector<PeerId>* out) const {
-    AppendNeighbors(id, out);
-    for (PeerId source : InLinks(id)) out->push_back(source);
-  }
-
  private:
   const Network* net_ = nullptr;
   const TopologySnapshot* snap_ = nullptr;
 };
+
+/// One peer's neighbor row, read in place from the backend: the ring
+/// successor, the predecessor when distinct (both always alive), the
+/// long out-links in stored order (possibly dead) and, for walk rows,
+/// the peers holding long links TO the peer. Routers use the first
+/// three parts; random walks use all four — walking only out-links
+/// concentrates the stationary distribution on already-popular peers.
+/// The spans are valid until the backend next mutates.
+struct NeighborRow {
+  PeerId ring[2] = {0, 0};
+  uint32_t ring_count = 0;
+  PeerSpan out;
+  PeerSpan in;
+
+  /// Invokes fn(neighbor) in row order. Routers and walks are
+  /// order-sensitive, so this order is part of the simulation's output.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (uint32_t i = 0; i < ring_count; ++i) fn(ring[i]);
+    for (PeerId target : out) fn(target);
+    for (PeerId source : in) fn(source);
+  }
+};
+
+/// Ring position of `id`, or TopologySnapshot::kNotOnRing when dead:
+/// O(1) on a snapshot, one binary search on a live network.
+inline uint32_t RingPosOf(const TopologySnapshot& snap, PeerId id) {
+  return snap.ring_pos(id);
+}
+inline uint32_t RingPosOf(const Network& net, PeerId id) {
+  if (!net.alive(id)) return TopologySnapshot::kNotOnRing;
+  const auto index = net.ring().IndexOf(net.key(id), id);
+  return index.has_value() ? static_cast<uint32_t>(*index)
+                           : TopologySnapshot::kNotOnRing;
+}
+
+/// Builds `id`'s neighbor row over either backend with one ring-position
+/// lookup; `with_in_links` adds the in-link span random walks need.
+template <typename Topo>
+inline NeighborRow NeighborRowOf(const Topo& topo, PeerId id,
+                                 bool with_in_links) {
+  NeighborRow row;
+  const Ring& ring = topo.ring();
+  const size_t n = ring.size();
+  const uint32_t pos = n >= 2 ? RingPosOf(topo, id)
+                              : TopologySnapshot::kNotOnRing;
+  if (pos != TopologySnapshot::kNotOnRing) {
+    const PeerId succ = ring.at((pos + 1) % n).id;
+    const PeerId pred = ring.at((pos + n - 1) % n).id;
+    row.ring[row.ring_count++] = succ;
+    if (pred != succ) row.ring[row.ring_count++] = pred;
+  }
+  row.out = topo.OutLinks(id);
+  if (with_in_links) row.in = topo.InLinks(id);
+  return row;
+}
 
 }  // namespace oscar
 

@@ -56,9 +56,9 @@ struct SearchEvaluation {
 };
 
 /// Routes queries from random alive sources and aggregates costs.
-/// Takes the topology through NetworkView: over a frozen snapshot the
-/// routers' CSR fast path engages automatically, which is how the
-/// churn figure evaluates its crash levels.
+/// Takes the topology through NetworkView, so it routes over a live
+/// network or a frozen snapshot alike — the churn figure evaluates its
+/// crash levels over snapshots.
 SearchEvaluation EvaluateSearch(NetworkView net, const Router& router,
                                 const SearchOptions& options, Rng* rng);
 

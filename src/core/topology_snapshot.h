@@ -42,17 +42,6 @@ class TopologySnapshot {
   DegreeCaps caps(PeerId id) const { return caps_[id]; }
   const Ring& ring() const { return ring_; }
 
-  /// Dual-width CSR offset view: one predictable branch selects the
-  /// 32-bit (default) or promoted 64-bit array. Steppers index it per
-  /// hop; the branch is free next to the cache miss on the edge row.
-  struct CsrOffsets {
-    const uint32_t* narrow = nullptr;
-    const uint64_t* wide = nullptr;
-    uint64_t operator[](size_t i) const {
-      return narrow != nullptr ? narrow[i] : wide[i];
-    }
-  };
-
   /// Long out-links of `id`, in the exact order the live Network held
   /// them (possibly dangling to dead peers). In-links are the alive
   /// peers that held a link to `id` at freeze time.
@@ -98,30 +87,13 @@ class TopologySnapshot {
   /// replays skip rebuilding the untouched bulk of the peer table.
   void RestoreInto(Network* net) const;
 
-  // ---- CSR fast-path surface ----------------------------------------
-  // Raw flat arrays for snapshot-specialized route steppers: one load
-  // per field, no per-call backend dispatch. Valid while the snapshot
-  // is alive; indices are PeerIds < size().
+  /// Ring position of `id`, or kNotOnRing when dead — the O(1) index
+  /// behind SuccessorOf/PredecessorOf, precomputed at freeze time.
   static constexpr uint32_t kNotOnRing = UINT32_MAX;
-  const KeyId* keys_data() const { return keys_.data(); }
-  const DegreeCaps* caps_data() const { return caps_.data(); }
-  const uint8_t* alive_data() const { return alive_.data(); }
-  CsrOffsets out_offsets() const {
-    return wide_ ? CsrOffsets{nullptr, out_offsets64_.data()}
-                 : CsrOffsets{out_offsets32_.data(), nullptr};
-  }
-  CsrOffsets in_offsets() const {
-    return wide_ ? CsrOffsets{nullptr, in_offsets64_.data()}
-                 : CsrOffsets{in_offsets32_.data(), nullptr};
-  }
-  const PeerId* out_edges_data() const { return out_edges_.data(); }
+  uint32_t ring_pos(PeerId id) const { return ring_pos_[id]; }
   /// True when the edge totals crossed the promotion threshold and this
   /// snapshot stores 64-bit offsets.
   bool wide_offsets() const { return wide_; }
-  /// Ring position of `id` (kNotOnRing when dead) — the O(1) index
-  /// behind SuccessorOf/PredecessorOf, exposed so steppers can walk the
-  /// ring without optional-wrapping each neighbor.
-  uint32_t ring_pos(PeerId id) const { return ring_pos_[id]; }
 
   /// Test hook: lowers the 32 -> 64-bit promotion threshold so the wide
   /// path can be exercised without materializing 4 billion edges.
@@ -149,6 +121,26 @@ class TopologySnapshot {
   // violation class (no public path builds an invalid snapshot).
   friend struct TopologySnapshotTestAccess;
   std::optional<PeerId> RingNeighbor(PeerId id, bool clockwise) const;
+
+  /// Dual-width CSR offset view: one predictable branch selects the
+  /// 32-bit (default) or promoted 64-bit array. The branch is free next
+  /// to the cache miss on the edge row.
+  struct CsrOffsets {
+    const uint32_t* narrow = nullptr;
+    const uint64_t* wide = nullptr;
+    uint64_t operator[](size_t i) const {
+      return narrow != nullptr ? narrow[i] : wide[i];
+    }
+  };
+
+  CsrOffsets out_offsets() const {
+    return wide_ ? CsrOffsets{nullptr, out_offsets64_.data()}
+                 : CsrOffsets{out_offsets32_.data(), nullptr};
+  }
+  CsrOffsets in_offsets() const {
+    return wide_ ? CsrOffsets{nullptr, in_offsets64_.data()}
+                 : CsrOffsets{in_offsets32_.data(), nullptr};
+  }
 
   std::vector<KeyId> keys_;
   std::vector<DegreeCaps> caps_;

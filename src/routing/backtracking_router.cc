@@ -1,13 +1,12 @@
 #include "routing/backtracking_router.h"
 
-#include "routing/csr_stepper.h"
 #include "routing/route_stepper.h"
 
 namespace oscar {
-namespace {
 
-RouteResult Drive(BacktrackingStepper& stepper, NetworkView net,
-                  PeerId source, KeyId target) {
+RouteResult BacktrackingRouter::Route(NetworkView net, PeerId source,
+                                      KeyId target) const {
+  BacktrackingStepper stepper;
   stepper.Start(net, source, target);
   const size_t max_messages = 8 * net.alive_count() + 64;
   while (!stepper.done() &&
@@ -16,20 +15,6 @@ RouteResult Drive(BacktrackingStepper& stepper, NetworkView net,
   }
   if (!stepper.done()) stepper.Abandon(net);
   return stepper.result();
-}
-
-}  // namespace
-
-RouteResult BacktrackingRouter::Route(NetworkView net, PeerId source,
-                                      KeyId target) const {
-  // Snapshot backend: the CSR-specialized stepper reads the flat
-  // arrays directly (identical routes, guarded by csr_stepper_test).
-  if (net.snapshot() != nullptr) {
-    CsrBacktrackingStepper stepper;
-    return Drive(stepper, net, source, target);
-  }
-  BacktrackingStepper stepper;
-  return Drive(stepper, net, source, target);
 }
 
 }  // namespace oscar

@@ -1,13 +1,12 @@
 #include "routing/greedy_router.h"
 
-#include "routing/csr_stepper.h"
 #include "routing/route_stepper.h"
 
 namespace oscar {
-namespace {
 
-RouteResult Drive(GreedyStepper& stepper, NetworkView net, PeerId source,
-                  KeyId target) {
+RouteResult GreedyRouter::Route(NetworkView net, PeerId source,
+                                KeyId target) const {
+  GreedyStepper stepper;
   stepper.Start(net, source, target);
   // The ring guarantees strict progress, so the only loop bound needed
   // is a generous safety net against substrate bugs.
@@ -17,20 +16,6 @@ RouteResult Drive(GreedyStepper& stepper, NetworkView net, PeerId source,
   }
   if (!stepper.done()) stepper.Abandon(net);
   return stepper.result();
-}
-
-}  // namespace
-
-RouteResult GreedyRouter::Route(NetworkView net, PeerId source,
-                                KeyId target) const {
-  // Snapshot backend: the CSR-specialized stepper reads the flat
-  // arrays directly (identical routes, guarded by csr_stepper_test).
-  if (net.snapshot() != nullptr) {
-    CsrGreedyStepper stepper;
-    return Drive(stepper, net, source, target);
-  }
-  GreedyStepper stepper;
-  return Drive(stepper, net, source, target);
 }
 
 }  // namespace oscar

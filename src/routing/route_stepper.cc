@@ -20,9 +20,14 @@ void GreedyStepper::Start(NetworkView net, PeerId source, KeyId target) {
 }
 
 RouteStep GreedyStepper::Step(NetworkView net) {
+  return net.Visit([this](const auto& topo) { return StepOn(topo); });
+}
+
+template <typename Topo>
+RouteStep GreedyStepper::StepOn(const Topo& topo) {
   RouteStep step;
   step.from = current_;
-  const auto owner = net.OwnerOf(target_);
+  const auto owner = topo.OwnerOf(target_);
   if (owner.has_value() && current_ == *owner) {
     result_.success = true;
     result_.terminal = current_;
@@ -30,21 +35,21 @@ RouteStep GreedyStepper::Step(NetworkView net) {
     step.kind = StepKind::kArrived;
     return step;
   }
-  neighbors_.clear();
-  net.AppendNeighbors(current_, &neighbors_);
-  const uint64_t here = RingDistance(net.key(current_), target_);
+  const NeighborRow row =
+      NeighborRowOf(topo, current_, /*with_in_links=*/false);
+  const uint64_t here = RingDistance(topo.key(current_), target_);
   bool moved = false;
   PeerId best = current_;
   uint64_t best_distance = here;
-  for (PeerId candidate : neighbors_) {
-    if (!net.alive(candidate)) continue;  // Dead probes charged lazily below.
-    const uint64_t d = RingDistance(net.key(candidate), target_);
+  row.ForEach([&](PeerId candidate) {
+    if (!topo.alive(candidate)) return;  // Dead probes charged lazily below.
+    const uint64_t d = RingDistance(topo.key(candidate), target_);
     if (d < best_distance) {
       best = candidate;
       best_distance = d;
       moved = true;
     }
-  }
+  });
   if (!moved) {  // No strict progress: substrate violation.
     result_.terminal = current_;
     result_.success = owner.has_value() && current_ == *owner;
@@ -59,24 +64,24 @@ RouteStep GreedyStepper::Step(NetworkView net) {
       best_distance + best_distance / 2 < best_distance
           ? UINT64_MAX
           : best_distance + best_distance / 2;
-  for (PeerId candidate : neighbors_) {
-    if (!net.alive(candidate) || candidate == best) continue;
-    const uint64_t d = RingDistance(net.key(candidate), target_);
+  row.ForEach([&](PeerId candidate) {
+    if (!topo.alive(candidate) || candidate == best) return;
+    const uint64_t d = RingDistance(topo.key(candidate), target_);
     if (d < here && d <= band &&
-        net.caps(candidate).max_in > net.caps(best).max_in) {
+        topo.caps(candidate).max_in > topo.caps(best).max_in) {
       best = candidate;
     }
-  }
-  best_distance = RingDistance(net.key(best), target_);
+  });
+  best_distance = RingDistance(topo.key(best), target_);
   // Charge probes for dead long links that looked strictly better than
   // the hop we ended up taking (the peer would have tried them first).
-  for (PeerId candidate : neighbors_) {
-    if (!net.alive(candidate) &&
-        RingDistance(net.key(candidate), target_) < best_distance) {
+  row.ForEach([&](PeerId candidate) {
+    if (!topo.alive(candidate) &&
+        RingDistance(topo.key(candidate), target_) < best_distance) {
       ++result_.wasted;
       ++step.dead_probes;
     }
-  }
+  });
   current_ = best;
   ++result_.hops;
   result_.path.push_back(current_);
@@ -122,10 +127,15 @@ void BacktrackingStepper::Start(NetworkView net, PeerId source,
 }
 
 RouteStep BacktrackingStepper::Step(NetworkView net) {
+  return net.Visit([this](const auto& topo) { return StepOn(topo); });
+}
+
+template <typename Topo>
+RouteStep BacktrackingStepper::StepOn(const Topo& topo) {
   RouteStep step;
   const PeerId current = stack_.back();
   step.from = current;
-  const auto owner = net.OwnerOf(target_);
+  const auto owner = topo.OwnerOf(target_);
   if (owner.has_value() && current == *owner) {
     result_.success = true;
     result_.terminal = current;
@@ -133,13 +143,13 @@ RouteStep BacktrackingStepper::Step(NetworkView net) {
     step.kind = StepKind::kArrived;
     return step;
   }
-  neighbors_.clear();
-  net.AppendNeighbors(current, &neighbors_);
   ordered_.clear();
-  for (PeerId candidate : neighbors_) {
-    ordered_.emplace_back(RingDistance(net.key(candidate), target_),
+  const NeighborRow row =
+      NeighborRowOf(topo, current, /*with_in_links=*/false);
+  row.ForEach([&](PeerId candidate) {
+    ordered_.emplace_back(RingDistance(topo.key(candidate), target_),
                           candidate);
-  }
+  });
   std::sort(ordered_.begin(), ordered_.end());
 
   PeerId next = current;
@@ -147,7 +157,7 @@ RouteStep BacktrackingStepper::Step(NetworkView net) {
   for (const auto& [distance, candidate] : ordered_) {
     (void)distance;
     if (visited_.count(candidate) != 0) continue;
-    if (!net.alive(candidate)) {
+    if (!topo.alive(candidate)) {
       // First probe of a dead neighbor costs a message; remember it so
       // revisits after backtracking don't double-charge.
       if (probed_dead_.insert(candidate).second) {

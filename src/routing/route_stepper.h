@@ -9,6 +9,10 @@
 // driving these steppers to completion with the routers' historical
 // message budgets, so whole-path results are unchanged by construction;
 // the stepper-vs-route equivalence test guards the property.
+//
+// Each Step picks the view's backend once and runs one template over
+// it (StepOn), so a live Network and a frozen TopologySnapshot share a
+// single implementation of every routing decision.
 
 #ifndef OSCAR_ROUTING_ROUTE_STEPPER_H_
 #define OSCAR_ROUTING_ROUTE_STEPPER_H_
@@ -92,14 +96,14 @@ class GreedyStepper : public RouteStepper {
   PeerId current() const override { return current_; }
   std::string name() const override { return "greedy"; }
 
- protected:
-  // Shared with CsrGreedyStepper (routing/csr_stepper.h), which reuses
-  // Start/Abandon/FailDelivery and overrides only the hot Step.
+ private:
+  template <typename Topo>
+  RouteStep StepOn(const Topo& topo);
+
   RouteResult result_;
   KeyId target_;
   PeerId current_ = 0;
   bool done_ = true;
-  std::vector<PeerId> neighbors_;  // Scratch, reused across steps.
 };
 
 /// The BacktrackingRouter algorithm (fault-aware depth-first greedy),
@@ -117,8 +121,10 @@ class BacktrackingStepper : public RouteStepper {
   }
   std::string name() const override { return "backtracking"; }
 
- protected:
-  // Shared with CsrBacktrackingStepper (routing/csr_stepper.h).
+ private:
+  template <typename Topo>
+  RouteStep StepOn(const Topo& topo);
+
   RouteResult result_;
   KeyId target_;
   PeerId source_ = 0;
@@ -126,7 +132,6 @@ class BacktrackingStepper : public RouteStepper {
   std::unordered_set<PeerId> visited_;
   std::unordered_set<PeerId> probed_dead_;
   std::vector<PeerId> stack_;
-  std::vector<PeerId> neighbors_;  // Scratch.
   std::vector<std::pair<uint64_t, PeerId>> ordered_;  // Scratch.
 };
 

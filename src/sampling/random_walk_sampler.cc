@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/topology_snapshot.h"
 #include "routing/greedy_router.h"
 
 namespace oscar {
@@ -10,147 +9,71 @@ namespace {
 
 /// Where a rejection walk ended: on a peer inside the segment (found),
 /// or at its final position with the budget exhausted (the fallback
-/// range walk starts there). The two walk implementations below must
-/// agree on this outcome draw for draw — the CSR one exists only to
-/// read the topology faster, never to walk differently.
+/// range walk starts there).
 struct WalkOutcome {
   bool found = false;
   PeerId current = 0;
   uint64_t steps = 0;
 };
 
-/// Generic-backend walk: the degree-corrected (Metropolis-Hastings,
-/// clamped) random walk over the undirected gossip graph; mixes in
-/// O(log N) on a small world. Membership is tested at stride intervals
-/// only — testing every step would bias samples toward the segment
-/// boundary nearest the origin.
-WalkOutcome WalkGeneric(NetworkView net, PeerId origin, KeyId from,
-                        KeyId to, const RandomWalkOptions& options,
-                        Rng* rng) {
-  WalkOutcome out;
-  PeerId current = origin;
-  if (options.visit_trace != nullptr) options.visit_trace->push_back(current);
-  std::vector<PeerId> scratch;
-  std::vector<PeerId> alive;
-  std::vector<PeerId> proposal_alive;
-  const auto alive_walk_neighbors = [&net](PeerId id,
-                                           std::vector<PeerId>* scratch_vec,
-                                           std::vector<PeerId>* out_vec) {
-    scratch_vec->clear();
-    net.AppendWalkNeighbors(id, scratch_vec);
-    out_vec->clear();
-    for (PeerId n : *scratch_vec) {
-      if (net.alive(n)) out_vec->push_back(n);
-    }
-  };
-  const uint32_t total_steps = options.burn_in + options.max_walk_steps;
-  alive_walk_neighbors(current, &scratch, &alive);
-  for (uint32_t step = 0; step < total_steps; ++step) {
-    if (step >= options.burn_in &&
-        (step - options.burn_in) % options.test_stride == 0 &&
-        InClockwiseSegment(net.key(current), from, to)) {
-      out.found = true;
-      break;
-    }
-    if (alive.empty()) break;
-    const PeerId proposal =
-        alive[static_cast<size_t>(rng->UniformInt(alive.size()))];
-    alive_walk_neighbors(proposal, &scratch, &proposal_alive);
-    ++out.steps;
-    if (proposal_alive.empty()) continue;
-    const double accept = std::max(
-        options.mh_floor, static_cast<double>(alive.size()) /
-                              static_cast<double>(proposal_alive.size()));
-    if (rng->NextDouble() < accept) {
-      current = proposal;
-      alive.swap(proposal_alive);
-      if (options.visit_trace != nullptr) {
-        options.visit_trace->push_back(current);
-      }
-    }
-  }
-  out.current = current;
-  return out;
-}
-
-/// Invokes fn(neighbor) over `id`'s undirected gossip neighborhood in
-/// exactly NetworkView::AppendWalkNeighbors order — ring successor,
-/// predecessor when distinct, the CSR out-link row, then the in-link
-/// row — without materializing a vector. Mirrors the route steppers'
-/// ForEachNeighbor in routing/csr_stepper.cc, plus the in-links walks
-/// need for symmetry.
-template <typename Fn>
-inline void ForEachWalkNeighbor(const TopologySnapshot& snap, PeerId id,
-                                Fn&& fn) {
-  const Ring& ring = snap.ring();
-  const size_t rn = ring.size();
-  const uint32_t pos = snap.ring_pos(id);
-  if (rn >= 2 && pos != TopologySnapshot::kNotOnRing) {
-    const PeerId succ = ring.at((pos + 1) % rn).id;
-    const PeerId pred = ring.at((pos + rn - 1) % rn).id;
-    fn(succ);
-    if (pred != succ) fn(pred);
-  }
-  for (PeerId target : snap.OutLinks(id)) fn(target);
-  for (PeerId source : snap.InLinks(id)) fn(source);
-}
-
-size_t CountAliveWalkNeighbors(const TopologySnapshot& snap, PeerId id) {
-  const uint8_t* alive = snap.alive_data();
+template <typename Topo>
+size_t CountAlive(const Topo& topo, const NeighborRow& row) {
   size_t count = 0;
-  ForEachWalkNeighbor(snap, id, [&](PeerId n) { count += alive[n]; });
+  row.ForEach([&](PeerId n) { count += topo.alive(n) ? 1 : 0; });
   return count;
 }
 
-/// The k-th (0-based) alive walk neighbor; precondition k < count.
-PeerId KthAliveWalkNeighbor(const TopologySnapshot& snap, PeerId id,
-                            size_t k) {
-  const uint8_t* alive = snap.alive_data();
-  PeerId picked = id;
+/// The k-th (0-based) alive peer of `row`; precondition k < count.
+template <typename Topo>
+PeerId KthAlive(const Topo& topo, const NeighborRow& row, size_t k) {
+  PeerId picked = 0;
   size_t seen = 0;
-  ForEachWalkNeighbor(snap, id, [&](PeerId n) {
-    if (!alive[n]) return;
+  row.ForEach([&](PeerId n) {
+    if (!topo.alive(n)) return;
     if (seen == k) picked = n;
     ++seen;
   });
   return picked;
 }
 
-/// Snapshot-backend walk: the same walk as WalkGeneric — same draws,
-/// same acceptance arithmetic, same visited sequence (the per-walk
-/// lockstep test holds the two line-equivalent) — but iterating the
-/// frozen CSR rows in place instead of filtering materialized neighbor
-/// vectors per hop. The uniform pick needs only (count, k-th element),
-/// and the MH correction only the two neighborhood sizes, so no vector
-/// is ever built.
-WalkOutcome WalkCsr(const TopologySnapshot& snap, PeerId origin, KeyId from,
-                    KeyId to, const RandomWalkOptions& options, Rng* rng) {
+/// The degree-corrected (Metropolis-Hastings, clamped) random walk over
+/// the undirected gossip graph; mixes in O(log N) on a small world.
+/// Membership is tested at stride intervals only — testing every step
+/// would bias samples toward the segment boundary nearest the origin.
+/// The uniform pick needs only (alive count, k-th alive neighbor) and
+/// the MH correction only the two neighborhood sizes, so both rows are
+/// read in place and the current peer's row is reused after a move.
+template <typename Topo>
+WalkOutcome Walk(const Topo& topo, PeerId origin, KeyId from, KeyId to,
+                 const RandomWalkOptions& options, Rng* rng) {
   WalkOutcome out;
-  const KeyId* keys = snap.keys_data();
   PeerId current = origin;
   if (options.visit_trace != nullptr) options.visit_trace->push_back(current);
   const uint32_t total_steps = options.burn_in + options.max_walk_steps;
-  size_t current_degree = CountAliveWalkNeighbors(snap, current);
+  NeighborRow row = NeighborRowOf(topo, current, /*with_in_links=*/true);
+  size_t degree = CountAlive(topo, row);
   for (uint32_t step = 0; step < total_steps; ++step) {
     if (step >= options.burn_in &&
         (step - options.burn_in) % options.test_stride == 0 &&
-        InClockwiseSegment(keys[current], from, to)) {
+        InClockwiseSegment(topo.key(current), from, to)) {
       out.found = true;
       break;
     }
-    if (current_degree == 0) break;
-    const PeerId proposal = KthAliveWalkNeighbor(
-        snap, current,
-        static_cast<size_t>(rng->UniformInt(current_degree)));
-    const size_t proposal_degree = CountAliveWalkNeighbors(snap, proposal);
+    if (degree == 0) break;
+    const PeerId proposal = KthAlive(
+        topo, row, static_cast<size_t>(rng->UniformInt(degree)));
+    const NeighborRow proposal_row =
+        NeighborRowOf(topo, proposal, /*with_in_links=*/true);
+    const size_t proposal_degree = CountAlive(topo, proposal_row);
     ++out.steps;
     if (proposal_degree == 0) continue;
     const double accept = std::max(
-        options.mh_floor, static_cast<double>(current_degree) /
+        options.mh_floor, static_cast<double>(degree) /
                               static_cast<double>(proposal_degree));
     if (rng->NextDouble() < accept) {
       current = proposal;
-      current_degree = proposal_degree;
+      row = proposal_row;
+      degree = proposal_degree;
       if (options.visit_trace != nullptr) {
         options.visit_trace->push_back(current);
       }
@@ -179,18 +102,14 @@ Result<SegmentSample> RandomWalkSegmentSampler::SampleInSegment(
     }
     return SegmentSample{*peer, count};
   }
-  // Rejection walk: the frozen-snapshot backend takes the CSR in-place
-  // path, the live backend the generic one; outcomes are identical.
-  const WalkOutcome walk =
-      net.snapshot() != nullptr
-          ? WalkCsr(*net.snapshot(), origin, from, to, options_, rng)
-          : WalkGeneric(net, origin, from, to, options_, rng);
+  const WalkOutcome walk = net.Visit([&](const auto& topo) {
+    return Walk(topo, origin, from, to, options_, rng);
+  });
   if (walk.found) return SegmentSample{walk.current, walk.steps};
   uint64_t steps = walk.steps;
   // Fallback range walk: route to a uniformly random key inside the
   // segment, then de-bias the gap-weighted landing by hopping a random
-  // number of clockwise successors (staying inside the segment). Over a
-  // snapshot the route rides the CSR steppers automatically.
+  // number of clockwise successors (staying inside the segment).
   const double span = static_cast<double>(ClockwiseDistance(from, to)) /
                       18446744073709551616.0;
   const KeyId probe =

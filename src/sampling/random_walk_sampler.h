@@ -34,9 +34,10 @@ struct RandomWalkOptions {
   /// 1/floor expected steps and still removes most of the degree bias.
   double mh_floor = 0.3;
   /// Test-only hook: when set, every walk position is appended — the
-  /// origin, then each accepted proposal. The per-walk lockstep test
-  /// uses it to hold the generic and CSR walk paths to the identical
-  /// visited-peer sequence. Not thread-safe; leave null outside tests.
+  /// origin, then each accepted proposal. The backend-equivalence test
+  /// uses it to hold walks over a live Network and over its frozen
+  /// snapshot to the identical visited-peer sequence. Not thread-safe;
+  /// leave null outside tests.
   std::vector<PeerId>* visit_trace = nullptr;
 };
 

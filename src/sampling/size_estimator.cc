@@ -3,26 +3,23 @@
 #include <algorithm>
 
 #include "common/string_util.h"
-#include "core/topology_snapshot.h"
 
 namespace oscar {
 namespace {
 
-/// Gap-window span over a frozen snapshot: the same successor chain as
-/// the generic loop below, but walking precomputed ring positions
-/// directly (one modular increment per hop) instead of an optional-
-/// wrapped SuccessorOf per peer. Returns the summed clockwise span of
-/// `window` successor gaps starting at `origin`, or 0 when the origin
-/// is dead or the ring is degenerate — exactly the generic outcomes.
-uint64_t GapSpanCsr(const TopologySnapshot& snap, PeerId origin,
-                    uint32_t window) {
-  const Ring& ring = snap.ring();
+/// Summed clockwise span of the `window` successor gaps after `origin`:
+/// one ring-position lookup, then one modular increment per gap. 0 when
+/// the origin is dead or the ring has fewer than two peers.
+template <typename Topo>
+uint64_t GapSpan(const Topo& topo, PeerId origin, uint32_t window) {
+  const Ring& ring = topo.ring();
   const size_t n = ring.size();
-  uint32_t pos = snap.ring_pos(origin);
-  if (n < 2 || pos == TopologySnapshot::kNotOnRing) return 0;
+  const uint32_t start = RingPosOf(topo, origin);
+  if (n < 2 || start == TopologySnapshot::kNotOnRing) return 0;
+  size_t pos = start;
   uint64_t span = 0;
   for (uint32_t i = 0; i < window; ++i) {
-    const uint32_t next = static_cast<uint32_t>((pos + 1) % n);
+    const size_t next = (pos + 1) % n;
     span += ClockwiseDistance(KeyId::FromRaw(ring.at(pos).key_raw),
                               KeyId::FromRaw(ring.at(next).key_raw));
     pos = next;
@@ -46,18 +43,8 @@ double GapSizeEstimator::Estimate(NetworkView net, PeerId origin,
   if (alive < 2) return 1.0;
   const uint32_t window =
       static_cast<uint32_t>(std::min<size_t>(window_, alive - 1));
-  uint64_t span = 0;
-  if (net.snapshot() != nullptr) {
-    span = GapSpanCsr(*net.snapshot(), origin, window);
-  } else {
-    PeerId current = origin;
-    for (uint32_t i = 0; i < window; ++i) {
-      const auto next = net.SuccessorOf(current);
-      if (!next.has_value()) break;
-      span += ClockwiseDistance(net.key(current), net.key(*next));
-      current = *next;
-    }
-  }
+  const uint64_t span = net.Visit(
+      [&](const auto& topo) { return GapSpan(topo, origin, window); });
   if (span == 0) return static_cast<double>(alive);
   const double span_fraction =
       static_cast<double>(span) / 18446744073709551616.0;

@@ -12,7 +12,7 @@
 #include "common/thread_pool.h"
 #include "core/network_view.h"
 #include "core/rng.h"
-#include "routing/csr_stepper.h"
+#include "routing/route_stepper.h"
 #include "serve/token_bucket.h"
 
 namespace oscar {
@@ -68,9 +68,8 @@ Status LoadGenerator::RoutePhase(ServeReport* report) {
   routed_.assign(options_.lookups, RoutedLookup{});
   const uint32_t threads = std::max(1u, options_.threads);
   LatencyRecorder recorder(threads);
-  // One stepper per worker: Start() resets route state but keeps the
-  // neighbor scratch allocation warm across the worker's lookups.
-  std::vector<CsrGreedyStepper> steppers(threads);
+  // One stepper per worker: a stepper holds its in-flight route state.
+  std::vector<GreedyStepper> steppers(threads);
   const size_t max_steps = 4 * alive + 16;
 
   PoolGauge gauge;
@@ -97,7 +96,7 @@ Status LoadGenerator::RoutePhase(ServeReport* report) {
           key = hot_keys[rank];
         }
 
-        CsrGreedyStepper& stepper = steppers[worker];
+        GreedyStepper& stepper = steppers[worker];
         stepper.Start(view, source, key);
         for (size_t step = 0; step < max_steps && !stepper.done(); ++step) {
           stepper.Step(view);

@@ -4,7 +4,7 @@
 // 1. ROUTE (wall-clock parallel, virtual-time free). Every lookup's
 //    (source, target key) pair is drawn from its own counter-forked
 //    rng stream — Rng::Fork(seed, stream, lookup) — and routed over
-//    the shared snapshot by a per-worker CSR greedy stepper on the
+//    the shared snapshot by a per-worker greedy stepper on the
 //    common/thread_pool worker pool. A frozen snapshot is read-only,
 //    so the fan-out is embarrassingly parallel and, because every
 //    result lands in its own per-index slot and the per-lookup streams

@@ -13,15 +13,10 @@ MessageSim::MessageSim(EventEngine* engine, Network* net,
   if (!MakeRouteStepper(options_.router).ok()) {
     options_.router = "backtracking";
   }
-  if (options_.trace != nullptr) {
-    string_adapter_ = std::make_unique<StringTraceSink>(options_.trace);
-    sinks_.push_back(string_adapter_.get());
-  }
-  if (options_.sink != nullptr) sinks_.push_back(options_.sink);
 }
 
 void MessageSim::ArmSampler() {
-  if (sampler_armed_ || sinks_.empty() ||
+  if (sampler_armed_ || options_.sink == nullptr ||
       options_.queue_depth_cadence_ms <= 0.0) {
     return;
   }

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,9 +75,6 @@ struct MessageSimOptions {
   /// long run is analyzable without holding its trace in RAM. Detached
   /// (nullptr) tracing costs one branch per would-be event.
   TraceSink* sink = nullptr;
-  /// Optional human-readable in-memory trace (one line per event,
-  /// appended) — the legacy adapter the determinism tests byte-compare.
-  std::string* trace = nullptr;
   /// Cadence (virtual ms) of the queue-depth / in-flight timeline
   /// samples emitted while tracing: every tick records the active and
   /// backlogged lookup counts plus every nonempty per-peer service
@@ -160,12 +156,12 @@ class MessageSim {
   void Transmit(uint64_t id, PeerId from, PeerId to, double extra_delay_ms);
   void HandleTimeout(uint64_t id);
   void Finish(uint64_t id);
-  /// Emits one structured event to every attached sink. Pass kTraceNone
-  /// for an absent peer/to column (0 is a real peer id). The empty-sink
+  /// Emits one structured event to the attached sink. Pass kTraceNone
+  /// for an absent peer/to column (0 is a real peer id). The null-sink
   /// test is the whole cost of a detached trace.
   void Emit(TraceKind kind, uint64_t lookup, uint32_t peer, uint32_t to,
             uint32_t info) {
-    if (sinks_.empty()) return;
+    if (options_.sink == nullptr) return;
     TraceEvent event;
     event.t_us = TraceTimeUs(engine_->now());
     event.kind = kind;
@@ -173,7 +169,7 @@ class MessageSim {
     event.peer = peer;
     event.to = to;
     event.info = info;
-    for (TraceSink* sink : sinks_) sink->Append(event);
+    options_.sink->Append(event);
   }
   /// Schedules the first timeline sample if tracing wants one and none
   /// is pending; SampleTimelines reschedules itself while work remains.
@@ -190,10 +186,6 @@ class MessageSim {
   MessageSimOptions options_;
   Rng* rng_;
 
-  /// Active sinks: options_.sink plus the owned legacy string adapter
-  /// (when options_.trace is set). Empty = tracing off.
-  std::unique_ptr<StringTraceSink> string_adapter_;
-  std::vector<TraceSink*> sinks_;
   bool sampler_armed_ = false;
 
   std::vector<Lookup> lookups_;

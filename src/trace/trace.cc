@@ -71,34 +71,6 @@ uint32_t BasicTraceSink::Intern(const std::string& text) {
 void BasicTraceSink::OnNewString(uint32_t /*id*/,
                                  const std::string& /*text*/) {}
 
-void StringTraceSink::Append(const TraceEvent& event) {
-  std::string& out = *out_;
-  out.append("t=");
-  out.append(TraceTimeMs(event.t_us));
-  if (!scope_text().empty()) {
-    out.append(" [");
-    out.append(scope_text());
-    out.append("]");
-  }
-  out.append(" ");
-  out.append(TraceKindName(event.kind));
-  if (event.lookup != kTraceNone) {
-    out.append(" lookup=");
-    out.append(std::to_string(event.lookup));
-  }
-  if (event.peer != kTraceNone) {
-    out.append(" peer=");
-    out.append(std::to_string(event.peer));
-  }
-  if (event.to != kTraceNone) {
-    out.append(" to=");
-    out.append(std::to_string(event.to));
-  }
-  out.append(" info=");
-  out.append(std::to_string(event.info));
-  out.append("\n");
-}
-
 CsvTraceSink::CsvTraceSink(std::ostream* out) : out_(out) {
   *out_ << Header();
 }

@@ -2,10 +2,9 @@
 // stream of fixed-width TraceEvents — virtual time quantized to u64
 // microseconds, an event kind from a closed u8 enum, and three u32
 // id/payload columns — tagged with an interned scenario scope. Sinks
-// decide the encoding: the human-readable string sink and the CSV sink
-// are thin adapters kept for the determinism tests and the `--csv`
-// escape hatch; the columnar writer (columnar_trace.h) is the one that
-// survives million-lookup runs.
+// decide the encoding: the CSV sink is a thin adapter for the
+// determinism tests and the `--csv` escape hatch; the columnar writer
+// (columnar_trace.h) is the one that survives million-lookup runs.
 //
 // Instrumentation contract: emitting is guarded at the call site
 // (`if (no sink) return;` before any argument is materialized), so a
@@ -127,19 +126,6 @@ class BasicTraceSink : public TraceSink {
   std::vector<std::string> strings_ = {""};
   std::map<std::string, uint32_t> ids_ = {{"", 0}};
   uint32_t scope_ = 0;
-};
-
-/// Human-readable adapter: one `t=<ms> <event> ...` line per event
-/// appended to a caller-owned string. This is the in-memory sink the
-/// determinism tests byte-compare; paper-scale runs use the columnar
-/// writer instead.
-class StringTraceSink : public BasicTraceSink {
- public:
-  explicit StringTraceSink(std::string* out) : out_(out) {}
-  void Append(const TraceEvent& event) override;
-
- private:
-  std::string* out_;
 };
 
 /// CSV adapter: the legacy streaming row format with `scenario` as a

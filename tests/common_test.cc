@@ -47,6 +47,48 @@ TEST(StringUtilTest, StrCatAndFormats) {
   EXPECT_EQ(FormatPercent(0.5, 0), "50%");
 }
 
+TEST(StringUtilTest, ParseUintIsStrict) {
+  uint64_t v = 7;
+  EXPECT_TRUE(ParseUint("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseUint("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  v = 7;
+  for (const char* bad : {"", "-1", "+1", " 5", "5 ", "5x", "0x10", "1e3",
+                          "18446744073709551616",
+                          "99999999999999999999999"}) {
+    EXPECT_FALSE(ParseUint(bad, &v)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(v, 7u);  // Untouched by every rejection.
+}
+
+TEST(StringUtilTest, ParseDoubleIsStrictAndFinite) {
+  double v = 7.0;
+  EXPECT_TRUE(ParseDouble("2.5", &v));
+  EXPECT_EQ(v, 2.5);
+  EXPECT_TRUE(ParseDouble("-0.125", &v));
+  EXPECT_EQ(v, -0.125);
+  EXPECT_TRUE(ParseDouble("1e3", &v));
+  EXPECT_EQ(v, 1000.0);
+  v = 7.0;
+  for (const char* bad : {"", " 1", "1 ", "1.5ms", "abc", "nan", "NAN",
+                          "-nan", "inf", "-inf", "infinity", "1e999",
+                          "-1e999"}) {
+    EXPECT_FALSE(ParseDouble(bad, &v)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(v, 7.0);  // Untouched by every rejection.
+}
+
+TEST(StringUtilTest, FlagValueSplitsOnlyItsOwnFlag) {
+  std::string value;
+  EXPECT_TRUE(FlagValue("--hop-ms=2.5", "--hop-ms", &value));
+  EXPECT_EQ(value, "2.5");
+  EXPECT_TRUE(FlagValue("--hop-ms=", "--hop-ms", &value));
+  EXPECT_EQ(value, "");
+  EXPECT_FALSE(FlagValue("--hop-ms", "--hop-ms", &value));
+  EXPECT_FALSE(FlagValue("--hop-msx=1", "--hop-ms", &value));
+}
+
 TEST(StatsTest, RunningStats) {
   RunningStats stats;
   for (double x : {2.0, 4.0, 6.0}) stats.Push(x);

@@ -10,6 +10,7 @@
 
 #include "core/experiments.h"
 #include "sim/scenario.h"
+#include "trace/trace.h"
 
 namespace oscar {
 namespace {
@@ -61,14 +62,16 @@ std::string ScenarioTraceBytes(uint64_t seed) {
   base.network_size = 140;
   base.lookups = 70;
   base.seed = seed;
-  std::string trace;
-  base.sim.trace = &trace;
+  std::ostringstream trace;
+  CsvTraceSink sink(&trace);
+  base.sim.sink = &sink;
   auto run = RunScenario("rolling-churn", base);
   EXPECT_TRUE(run.ok()) << run.status();
   if (!run.ok()) return "";
+  EXPECT_GT(trace.str().size(), std::string(CsvTraceSink::Header()).size());
   const MessageSimReport& report = run.value().report;
   std::ostringstream os;
-  os << trace << "completed=" << report.completed
+  os << trace.str() << "completed=" << report.completed
      << " succeeded=" << report.succeeded
      << " messages=" << report.messages_sent
      << " timeouts=" << report.timeouts << " mean_ms=" << report.latency.mean_ms

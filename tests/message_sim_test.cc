@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "overlay/kleinberg/kleinberg_overlay.h"
 #include "sim/scenario.h"
 
@@ -190,9 +192,10 @@ TEST(MessageSimTest, TraceIsSeedDeterministic) {
     Network net = LinkedNetwork(120, 39);
     EventEngine engine;
     Rng rng(seed);
-    std::string trace;
+    std::ostringstream trace;
+    CsvTraceSink sink(&trace);
     MessageSimOptions traced = options;
-    traced.trace = &trace;
+    traced.sink = &sink;
     MessageSim sim(&engine, &net, traced, &rng);
     Rng query_rng(seed ^ 41);
     const std::vector<PeerId> alive = net.AlivePeers();
@@ -203,10 +206,10 @@ TEST(MessageSimTest, TraceIsSeedDeterministic) {
                          KeyId::FromUnit(query_rng.NextDouble()));
     }
     engine.Run();
-    return trace;
+    return trace.str();
   };
   const std::string first = run_trace(40);
-  EXPECT_FALSE(first.empty());
+  EXPECT_GT(first.size(), std::string(CsvTraceSink::Header()).size());
   EXPECT_EQ(first, run_trace(40));
   EXPECT_NE(first, run_trace(41));
 }

@@ -35,6 +35,17 @@ std::vector<PeerId> ToVector(PeerSpan span) {
   return std::vector<PeerId>(span.begin(), span.end());
 }
 
+/// The neighbor row NeighborRowOf builds for `id`, flattened in row
+/// order — the order routers and walks consume it in.
+template <typename Topo>
+std::vector<PeerId> RowOf(const Topo& topo, PeerId id, bool with_in_links) {
+  std::vector<PeerId> out;
+  NeighborRowOf(topo, id, with_in_links).ForEach([&](PeerId n) {
+    out.push_back(n);
+  });
+  return out;
+}
+
 /// Every read the view exposes, compared between the two backends.
 void ExpectViewsAgree(const Network& net, const TopologySnapshot& snap) {
   const NetworkView live(net);
@@ -55,14 +66,19 @@ void ExpectViewsAgree(const Network& net, const TopologySnapshot& snap) {
         << "peer " << id;
     EXPECT_EQ(ToVector(live.InLinks(id)), ToVector(frozen.InLinks(id)))
         << "peer " << id;
-    std::vector<PeerId> live_neighbors, frozen_neighbors;
-    live.AppendNeighbors(id, &live_neighbors);
-    frozen.AppendNeighbors(id, &frozen_neighbors);
-    EXPECT_EQ(live_neighbors, frozen_neighbors) << "peer " << id;
-    std::vector<PeerId> live_walk, frozen_walk;
-    live.AppendWalkNeighbors(id, &live_walk);
-    frozen.AppendWalkNeighbors(id, &frozen_walk);
-    EXPECT_EQ(live_walk, frozen_walk) << "peer " << id;
+    // Neighbor rows: ring successor, predecessor when distinct, out-links,
+    // then (walk rows only) in-links — on both backends.
+    std::vector<PeerId> expected;
+    const auto succ = live.SuccessorOf(id);
+    const auto pred = live.PredecessorOf(id);
+    if (succ.has_value()) expected.push_back(*succ);
+    if (pred.has_value() && pred != succ) expected.push_back(*pred);
+    for (PeerId target : live.OutLinks(id)) expected.push_back(target);
+    EXPECT_EQ(RowOf(net, id, false), expected) << "peer " << id;
+    EXPECT_EQ(RowOf(snap, id, false), expected) << "peer " << id;
+    for (PeerId source : live.InLinks(id)) expected.push_back(source);
+    EXPECT_EQ(RowOf(net, id, true), expected) << "peer " << id;
+    EXPECT_EQ(RowOf(snap, id, true), expected) << "peer " << id;
   }
   // Ring queries: ownership and clockwise order statistics.
   for (int i = 0; i < 64; ++i) {

@@ -221,25 +221,5 @@ TEST(TraceDeterminismTest, ScenarioCsvReplayMatchesDirectSink) {
   EXPECT_EQ(ReplayAsCsv(otrace), direct_csv.str());
 }
 
-TEST(TraceDeterminismTest, LegacyStringAdapterStillDeterministic) {
-  // The string adapter and a structured sink can ride the same run; the
-  // adapter's bytes stay seed-stable (the determinism test's contract).
-  auto trace_bytes = [](uint64_t seed) {
-    ScenarioOptions base;
-    base.network_size = 140;
-    base.lookups = 70;
-    base.seed = seed;
-    std::string trace;
-    base.sim.trace = &trace;
-    auto run = RunScenario("rolling-churn", base);
-    EXPECT_TRUE(run.ok()) << run.status();
-    return trace;
-  };
-  const std::string first = trace_bytes(42);
-  ASSERT_FALSE(first.empty());
-  EXPECT_EQ(first, trace_bytes(42));
-  EXPECT_NE(first, trace_bytes(43));
-}
-
 }  // namespace
 }  // namespace oscar

@@ -72,35 +72,6 @@ int RejectUsage(const std::string& message) {
   return 2;
 }
 
-/// `--flag=value` splitter: true when `arg` starts with `prefix=` and
-/// a non-empty value follows. A bare `--flag` or trailing `=` is the
-/// caller's rejection path.
-bool FlagValue(const std::string& arg, const std::string& flag,
-               std::string* value) {
-  const std::string prefix = flag + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
-bool ParseUint(const std::string& text, uint64_t* out) {
-  if (text.empty() || text[0] == '-' || text[0] == '+') return false;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = parsed;
-  return true;
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double parsed = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  *out = parsed;
-  return true;
-}
-
 std::vector<std::string> SplitCommaList(const std::string& list) {
   std::vector<std::string> out;
   size_t start = 0;

@@ -42,7 +42,6 @@
 // infrastructure error (unknown scenario, experiment Status error).
 
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -195,10 +194,8 @@ int RunCli(const std::vector<std::string>& args) {
       } else {
         value = arg.substr(sizeof("--queue-cadence-ms=") - 1);
       }
-      char* end = nullptr;
-      const double parsed =
-          value.empty() ? -1.0 : std::strtod(value.c_str(), &end);
-      if (value.empty() || end == nullptr || *end != '\0' || parsed < 0.0) {
+      double parsed = 0.0;
+      if (!ParseDouble(value, &parsed) || parsed < 0.0) {
         return RejectUsage(StrCat("--queue-cadence-ms wants a non-negative "
                                   "number, got '", value, "'"));
       }
@@ -214,10 +211,8 @@ int RunCli(const std::vector<std::string>& args) {
       } else {
         value = arg.substr(sizeof("--maintenance-cadence-ms=") - 1);
       }
-      char* end = nullptr;
-      const double parsed =
-          value.empty() ? -1.0 : std::strtod(value.c_str(), &end);
-      if (value.empty() || end == nullptr || *end != '\0' || parsed < 0.0) {
+      double parsed = 0.0;
+      if (!ParseDouble(value, &parsed) || parsed < 0.0) {
         return RejectUsage(StrCat("--maintenance-cadence-ms wants a "
                                   "non-negative number, got '", value, "'"));
       }

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
@@ -47,23 +46,6 @@ int RejectUsage(const std::string& message) {
   std::cerr << "oscar_trace: " << message << "\n";
   PrintUsage(std::cerr);
   return 2;
-}
-
-bool FlagValue(const std::string& arg, const std::string& flag,
-               std::string* value) {
-  const std::string prefix = flag + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
-bool ParseUint(const std::string& text, uint64_t* out) {
-  if (text.empty() || text[0] == '-' || text[0] == '+') return false;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = parsed;
-  return true;
 }
 
 /// Everything the summary mode aggregates for one scope (scenario or
