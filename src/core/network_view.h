@@ -134,17 +134,17 @@ inline uint32_t RingPosOf(const Network& net, PeerId id) {
                            : TopologySnapshot::kNotOnRing;
 }
 
-/// Builds `id`'s neighbor row over either backend with one ring-position
-/// lookup; `with_in_links` adds the in-link span random walks need.
+/// Builds `id`'s neighbor row over either backend from its ring
+/// position `pos` (RingPosOf(topo, id); the caller looks it up once so a
+/// route step can reuse it for its ownership test). `with_in_links`
+/// adds the in-link span random walks need.
 template <typename Topo>
-inline NeighborRow NeighborRowOf(const Topo& topo, PeerId id,
+inline NeighborRow NeighborRowOf(const Topo& topo, PeerId id, uint32_t pos,
                                  bool with_in_links) {
   NeighborRow row;
   const Ring& ring = topo.ring();
   const size_t n = ring.size();
-  const uint32_t pos = n >= 2 ? RingPosOf(topo, id)
-                              : TopologySnapshot::kNotOnRing;
-  if (pos != TopologySnapshot::kNotOnRing) {
+  if (n >= 2 && pos != TopologySnapshot::kNotOnRing) {
     const PeerId succ = ring.at((pos + 1) % n).id;
     const PeerId pred = ring.at((pos + n - 1) % n).id;
     row.ring[row.ring_count++] = succ;

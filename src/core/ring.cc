@@ -66,6 +66,31 @@ std::optional<PeerId> Ring::OwnerOf(KeyId key) const {
   return entries_[pred].id;
 }
 
+bool Ring::OwnsAt(size_t index, KeyId key) const {
+  const size_t n = entries_.size();
+  if (n == 1) return true;
+  const size_t prev = index == 0 ? n - 1 : index - 1;
+  const size_t next = index + 1 == n ? 0 : index + 1;
+  // OwnerOf's successor is LowerBound(key) % n: the first entry of the
+  // run of keys >= key, wrapping past the last entry to entry 0.
+  const auto is_successor = [&](size_t i) {
+    const uint64_t k = entries_[i].key_raw;
+    if (i == 0) return key.raw <= k || key.raw > entries_[n - 1].key_raw;
+    return entries_[i - 1].key_raw < key.raw && key.raw <= k;
+  };
+  const KeyId here = KeyId::FromRaw(entries_[index].key_raw);
+  if (is_successor(index)) {
+    // The successor wins ties against its predecessor.
+    return RingDistance(key, here) <=
+           RingDistance(key, KeyId::FromRaw(entries_[prev].key_raw));
+  }
+  if (is_successor(next)) {  // `index` is the predecessor.
+    return RingDistance(key, here) <
+           RingDistance(key, KeyId::FromRaw(entries_[next].key_raw));
+  }
+  return false;
+}
+
 size_t Ring::CountInSegment(KeyId from, KeyId to) const {
   if (entries_.empty() || from == to) return 0;
   const size_t i_from = LowerBound(from.raw);

@@ -58,6 +58,12 @@ class Ring {
   /// (ties broken clockwise). nullopt on an empty ring.
   std::optional<PeerId> OwnerOf(KeyId key) const;
 
+  /// True iff the entry at `index` owns `key`: exactly
+  /// `OwnerOf(key) == at(index).id`, decided in O(1) from the entries
+  /// beside `index` instead of a binary search. Precondition:
+  /// index < size().
+  bool OwnsAt(size_t index, KeyId key) const;
+
   /// Number of alive peers whose key lies in the clockwise segment
   /// [from, to). from == to denotes the empty segment.
   size_t CountInSegment(KeyId from, KeyId to) const;

@@ -1,22 +1,42 @@
 #include "routing/route_stepper.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/string_util.h"
 
 namespace oscar {
 
+namespace {
+
+/// Rewinds `result` to a fresh route at `source`, keeping the path's
+/// storage so a reused stepper does not reallocate per lookup.
+void ResetResult(RouteResult* result, PeerId source) {
+  result->success = false;
+  result->hops = 0;
+  result->wasted = 0;
+  result->terminal = source;
+  result->path.clear();
+  result->path.push_back(source);
+}
+
+/// Whether the peer at ring position `pos` owns `target` — exactly
+/// `OwnerOf(target) == peer`, in O(1). A dead peer (off the ring) owns
+/// nothing.
+template <typename Topo>
+bool OwnsTarget(const Topo& topo, uint32_t pos, KeyId target) {
+  return pos != TopologySnapshot::kNotOnRing &&
+         topo.ring().OwnsAt(pos, target);
+}
+
+}  // namespace
+
 // ---- GreedyStepper -------------------------------------------------------
 
 void GreedyStepper::Start(NetworkView net, PeerId source, KeyId target) {
-  result_ = RouteResult{};
-  result_.terminal = source;
-  result_.path.push_back(source);
+  ResetResult(&result_, source);
   target_ = target;
   current_ = source;
-  done_ = false;
-  const auto owner = net.OwnerOf(target);
-  if (!owner.has_value() || !net.alive(source)) done_ = true;
+  done_ = net.alive_count() == 0 || !net.alive(source);
 }
 
 RouteStep GreedyStepper::Step(NetworkView net) {
@@ -27,8 +47,8 @@ template <typename Topo>
 RouteStep GreedyStepper::StepOn(const Topo& topo) {
   RouteStep step;
   step.from = current_;
-  const auto owner = topo.OwnerOf(target_);
-  if (owner.has_value() && current_ == *owner) {
+  const uint32_t pos = RingPosOf(topo, current_);
+  if (OwnsTarget(topo, pos, target_)) {
     result_.success = true;
     result_.terminal = current_;
     done_ = true;
@@ -36,52 +56,59 @@ RouteStep GreedyStepper::StepOn(const Topo& topo) {
     return step;
   }
   const NeighborRow row =
-      NeighborRowOf(topo, current_, /*with_in_links=*/false);
+      NeighborRowOf(topo, current_, pos, /*with_in_links=*/false);
   const uint64_t here = RingDistance(topo.key(current_), target_);
-  bool moved = false;
+  // A dead neighbor sits at distance UINT64_MAX: never closer than
+  // `here`, never in the band. Its probe is charged lazily below.
+  const auto distance = [&](PeerId candidate) {
+    return topo.alive(candidate) ? RingDistance(topo.key(candidate), target_)
+                                 : UINT64_MAX;
+  };
+  // Pass 1: the first strictly closest neighbor, by conditional selects.
   PeerId best = current_;
   uint64_t best_distance = here;
+  bool saw_dead = false;
   row.ForEach([&](PeerId candidate) {
-    if (!topo.alive(candidate)) return;  // Dead probes charged lazily below.
-    const uint64_t d = RingDistance(topo.key(candidate), target_);
-    if (d < best_distance) {
-      best = candidate;
-      best_distance = d;
-      moved = true;
-    }
+    const uint64_t d = distance(candidate);
+    saw_dead |= d == UINT64_MAX;
+    const bool closer = d < best_distance;
+    best = closer ? candidate : best;
+    best_distance = closer ? d : best_distance;
   });
-  if (!moved) {  // No strict progress: substrate violation.
+  if (best_distance == here) {  // No strict progress: substrate violation.
     result_.terminal = current_;
-    result_.success = owner.has_value() && current_ == *owner;
+    result_.success = false;
     done_ = true;
     step.kind = StepKind::kStuck;
     return step;
   }
-  // Capacity-aware relaxation: any strictly-closer candidate within
-  // 50% of the best distance makes comparable progress; prefer the
-  // one with the largest declared in-budget.
+  // Pass 2, capacity-aware relaxation: any strictly-closer candidate
+  // within 50% of the best distance makes comparable progress; prefer
+  // the one with the largest declared in-budget (first one wins ties).
   const uint64_t band =
       best_distance + best_distance / 2 < best_distance
           ? UINT64_MAX
           : best_distance + best_distance / 2;
+  uint32_t best_in = topo.caps(best).max_in;
   row.ForEach([&](PeerId candidate) {
-    if (!topo.alive(candidate) || candidate == best) return;
-    const uint64_t d = RingDistance(topo.key(candidate), target_);
-    if (d < here && d <= band &&
-        topo.caps(candidate).max_in > topo.caps(best).max_in) {
-      best = candidate;
-    }
+    const uint64_t d = distance(candidate);
+    const uint32_t in = topo.caps(candidate).max_in;
+    const bool roomier = d < here && d <= band && in > best_in;
+    best = roomier ? candidate : best;
+    best_in = roomier ? in : best_in;
   });
-  best_distance = RingDistance(topo.key(best), target_);
   // Charge probes for dead long links that looked strictly better than
   // the hop we ended up taking (the peer would have tried them first).
-  row.ForEach([&](PeerId candidate) {
-    if (!topo.alive(candidate) &&
-        RingDistance(topo.key(candidate), target_) < best_distance) {
-      ++result_.wasted;
-      ++step.dead_probes;
-    }
-  });
+  if (saw_dead) {
+    best_distance = RingDistance(topo.key(best), target_);
+    row.ForEach([&](PeerId candidate) {
+      if (!topo.alive(candidate) &&
+          RingDistance(topo.key(candidate), target_) < best_distance) {
+        ++result_.wasted;
+        ++step.dead_probes;
+      }
+    });
+  }
   current_ = best;
   ++result_.hops;
   result_.path.push_back(current_);
@@ -113,17 +140,15 @@ bool GreedyStepper::FailDelivery(NetworkView net) {
 
 void BacktrackingStepper::Start(NetworkView net, PeerId source,
                                 KeyId target) {
-  result_ = RouteResult{};
-  result_.terminal = source;
-  result_.path.push_back(source);
+  ResetResult(&result_, source);
   target_ = target;
   source_ = source;
-  done_ = false;
-  visited_ = {source};
+  visited_.clear();
+  visited_.insert(source);
   probed_dead_.clear();
-  stack_ = {source};
-  const auto owner = net.OwnerOf(target);
-  if (!owner.has_value() || !net.alive(source)) done_ = true;
+  stack_.clear();
+  stack_.push_back(source);
+  done_ = net.alive_count() == 0 || !net.alive(source);
 }
 
 RouteStep BacktrackingStepper::Step(NetworkView net) {
@@ -135,40 +160,55 @@ RouteStep BacktrackingStepper::StepOn(const Topo& topo) {
   RouteStep step;
   const PeerId current = stack_.back();
   step.from = current;
-  const auto owner = topo.OwnerOf(target_);
-  if (owner.has_value() && current == *owner) {
+  const uint32_t pos = RingPosOf(topo, current);
+  if (OwnsTarget(topo, pos, target_)) {
     result_.success = true;
     result_.terminal = current;
     done_ = true;
     step.kind = StepKind::kArrived;
     return step;
   }
-  ordered_.clear();
   const NeighborRow row =
-      NeighborRowOf(topo, current, /*with_in_links=*/false);
-  row.ForEach([&](PeerId candidate) {
-    ordered_.emplace_back(RingDistance(topo.key(candidate), target_),
-                          candidate);
-  });
-  std::sort(ordered_.begin(), ordered_.end());
-
+      NeighborRowOf(topo, current, pos, /*with_in_links=*/false);
+  // The next hop is the smallest (distance, id) among alive, unvisited
+  // neighbors; the visited set is consulted only for a candidate that
+  // would beat the best so far. RingDistance never exceeds 2^63, so
+  // UINT64_MAX marks "none found".
+  uint64_t best_distance = UINT64_MAX;
   PeerId next = current;
-  bool found = false;
-  for (const auto& [distance, candidate] : ordered_) {
-    (void)distance;
-    if (visited_.count(candidate) != 0) continue;
+  bool saw_dead = false;
+  row.ForEach([&](PeerId candidate) {
     if (!topo.alive(candidate)) {
-      // First probe of a dead neighbor costs a message; remember it so
-      // revisits after backtracking don't double-charge.
+      saw_dead = true;
+      return;
+    }
+    const uint64_t d = RingDistance(topo.key(candidate), target_);
+    if (std::make_pair(d, candidate) >= std::make_pair(best_distance, next) ||
+        visited_.count(candidate) != 0) {
+      return;
+    }
+    best_distance = d;
+    next = candidate;
+  });
+  const bool found = best_distance != UINT64_MAX;
+  if (saw_dead) {
+    // A scan in (distance, id) order probes every dead, unvisited
+    // neighbor ranked before the chosen hop (all of them on a dead
+    // end). The first probe of a dead neighbor costs a message;
+    // remember it so revisits after backtracking don't double-charge.
+    row.ForEach([&](PeerId candidate) {
+      if (topo.alive(candidate)) return;
+      const uint64_t d = RingDistance(topo.key(candidate), target_);
+      if ((found && std::make_pair(d, candidate) >
+                        std::make_pair(best_distance, next)) ||
+          visited_.count(candidate) != 0) {
+        return;
+      }
       if (probed_dead_.insert(candidate).second) {
         ++result_.wasted;
         ++step.dead_probes;
       }
-      continue;
-    }
-    next = candidate;
-    found = true;
-    break;
+    });
   }
   if (found) {
     visited_.insert(next);

@@ -50,10 +50,11 @@ class RouteStepper {
   /// may be done() immediately (dead source, empty ring): a failure.
   virtual void Start(NetworkView net, PeerId source, KeyId target) = 0;
 
-  /// Advances the route by one decision. Precondition: !done(). The
-  /// target's owner is re-resolved against `net` on every call, so
-  /// liveness changes between steps are observed (identical to the
-  /// whole-path routers while `net` is unchanged during a route).
+  /// Advances the route by one decision. Precondition: !done(). Every
+  /// call re-checks whether the current peer owns the target against
+  /// `net` — in O(1), from the peer's ring position — so liveness
+  /// changes between steps are observed (identical to the whole-path
+  /// routers while `net` is unchanged during a route).
   virtual RouteStep Step(NetworkView net) = 0;
 
   virtual bool done() const = 0;
@@ -85,7 +86,7 @@ using RouteStepperPtr = std::unique_ptr<RouteStepper>;
 
 /// The GreedyRouter algorithm, one hop per Step (capacity-aware band
 /// relaxation and lazy dead-probe charging included).
-class GreedyStepper : public RouteStepper {
+class GreedyStepper final : public RouteStepper {
  public:
   void Start(NetworkView net, PeerId source, KeyId target) override;
   RouteStep Step(NetworkView net) override;
@@ -108,7 +109,7 @@ class GreedyStepper : public RouteStepper {
 
 /// The BacktrackingRouter algorithm (fault-aware depth-first greedy),
 /// one forward or backtrack move per Step.
-class BacktrackingStepper : public RouteStepper {
+class BacktrackingStepper final : public RouteStepper {
  public:
   void Start(NetworkView net, PeerId source, KeyId target) override;
   RouteStep Step(NetworkView net) override;
@@ -132,7 +133,6 @@ class BacktrackingStepper : public RouteStepper {
   std::unordered_set<PeerId> visited_;
   std::unordered_set<PeerId> probed_dead_;
   std::vector<PeerId> stack_;
-  std::vector<std::pair<uint64_t, PeerId>> ordered_;  // Scratch.
 };
 
 /// Factory over the named steppers: "greedy" | "backtracking".

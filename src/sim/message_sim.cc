@@ -146,11 +146,9 @@ void MessageSim::EndService(PeerId peer) {
 }
 
 void MessageSim::ProcessAt(uint64_t id, PeerId peer) {
+  // A finished lookup's stepper is already freed; its message is moot.
+  if (outcomes_[id].finished) return;
   RouteStepper& stepper = *lookups_[id].stepper;
-  if (stepper.done()) {
-    Finish(id);
-    return;
-  }
   // The same generous safety net the whole-path routers use, re-read
   // each time because churn changes the alive count mid-run.
   const size_t budget = 8 * net_->alive_count() + 64;
@@ -283,6 +281,10 @@ void MessageSim::Finish(uint64_t id) {
   outcome.success = route.success;
   outcome.hops = route.hops;
   outcome.wasted = route.wasted;
+  // The outcome holds all a finished lookup reports: free its route
+  // state (visited sets, stack, path) now rather than at the end of the
+  // run, so memory tracks the lookups in flight, not those submitted.
+  lookups_[id].stepper.reset();
   outcome.completed_ms = engine_->now();
   outcome.latency_ms = outcome.completed_ms - outcome.submitted_ms;
   concurrency_.Add(engine_->now(), -1);

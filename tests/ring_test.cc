@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/key_id.h"
 #include "core/network.h"
+#include "core/ring.h"
+#include "core/rng.h"
 
 namespace oscar {
 namespace {
@@ -111,6 +116,84 @@ TEST(NetworkTest, OwnerOfTwoPeerNetworkSplitsByDistance) {
 TEST(NetworkTest, OwnerOfEmptyNetworkIsNull) {
   Network net;
   EXPECT_FALSE(net.OwnerOf(KeyId::FromUnit(0.5)).has_value());
+}
+
+/// Checks Ring::OwnsAt against OwnerOf at every index for every key
+/// where ownership can flip: each entry's key and its +-1, the points
+/// around the midpoint of every clockwise gap (the successor wins the
+/// exact tie), each key's antipode, and both ends of the key space.
+void ExpectOwnsAtMatchesOwnerOf(const Ring& ring) {
+  ASSERT_FALSE(ring.empty());
+  std::vector<uint64_t> probes = {0, 1, UINT64_MAX - 1, UINT64_MAX,
+                                  uint64_t{1} << 63};
+  const size_t n = ring.size();
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = ring.at(i).key_raw;
+    const uint64_t gap = ring.at((i + 1) % n).key_raw - key;  // Wraps.
+    const uint64_t mid = key + gap / 2;
+    const uint64_t antipode = key + (uint64_t{1} << 63);
+    for (uint64_t probe : {key - 1, key, key + 1, mid - 1, mid, mid + 1,
+                           key + (gap + 1) / 2, antipode - 1, antipode,
+                           antipode + 1}) {
+      probes.push_back(probe);
+    }
+  }
+  for (uint64_t raw : probes) {
+    const KeyId key = KeyId::FromRaw(raw);
+    const PeerId owner = *ring.OwnerOf(key);
+    size_t owning = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const bool owns = ring.OwnsAt(i, key);
+      EXPECT_EQ(owns, owner == ring.at(i).id)
+          << "index " << i << " of " << n << ", key " << raw;
+      owning += owns ? 1 : 0;
+    }
+    EXPECT_EQ(owning, 1u) << "key " << raw;
+  }
+}
+
+Ring RingOf(const std::vector<uint64_t>& keys) {
+  Ring ring;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ring.Insert(KeyId::FromRaw(keys[i]), static_cast<PeerId>(i));
+  }
+  return ring;
+}
+
+TEST(RingTest, OwnsAtMatchesOwnerOfOnTinyRings) {
+  for (const std::vector<uint64_t>& keys : std::vector<std::vector<uint64_t>>{
+           {0}, {UINT64_MAX}, {uint64_t{1} << 62},  // One entry.
+           {0, UINT64_MAX}, {10, 20}, {5, 5},       // Two entries.
+           {0, uint64_t{1} << 63},                  // Exact antipodes.
+           {1, 2, 3}, {0, 1, UINT64_MAX},           // Three, at the seam.
+           {7, 7, 7}, {7, 7, 1000}, {UINT64_MAX, UINT64_MAX, 0},
+           {0, uint64_t{3} << 62, uint64_t{3} << 62}}) {
+    SCOPED_TRACE(testing::Message() << "ring of " << keys.size());
+    ExpectOwnsAtMatchesOwnerOf(RingOf(keys));
+  }
+}
+
+TEST(RingTest, OwnsAtMatchesOwnerOfOnGrownRingWithDuplicateKeys) {
+  Rng rng(21);
+  std::vector<uint64_t> keys;
+  for (int i = 0; i < 400; ++i) keys.push_back(rng.Next());
+  // Runs of equal keys, including one straddling the seam.
+  for (int copy = 0; copy < 3; ++copy) {
+    keys.push_back(keys[5]);
+    keys.push_back(keys[77]);
+    keys.push_back(0);
+    keys.push_back(UINT64_MAX);
+  }
+  ExpectOwnsAtMatchesOwnerOf(RingOf(keys));
+}
+
+TEST(RingTest, OwnsAtMatchesOwnerOfOnNetworkRing) {
+  Network net;
+  Rng rng(22);
+  for (int i = 0; i < 300; ++i) {
+    net.Join(KeyId::FromUnit(rng.NextDouble()), DegreeCaps{4, 4});
+  }
+  ExpectOwnsAtMatchesOwnerOf(net.ring());
 }
 
 TEST(NetworkTest, LongLinkCapsEnforced) {

@@ -1,11 +1,19 @@
 // Equivalence guard for the step-wise routing interface: driving a
 // stepper one hop at a time must reproduce Router::Route exactly —
 // success, hops, wasted, terminal and the full visited path — on both
-// intact and heavily crashed networks.
+// intact and heavily crashed networks. An oracle check pins the step
+// kernels to straightforward reference implementations, step by step.
 
 #include "routing/route_stepper.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <type_traits>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "churn/churn.h"
 #include "overlay/kleinberg/kleinberg_overlay.h"
@@ -154,6 +162,382 @@ TEST(RouteStepperTest, FailDeliveryAtOriginReportsNothingToRevert) {
   const PeerId source = net.AlivePeers().front();
   stepper.Start(net, source, net.key(source));
   EXPECT_FALSE(stepper.FailDelivery(net));
+}
+
+// ---- Oracle: reference step kernels --------------------------------------
+//
+// Straightforward versions of both step algorithms, read through the
+// view's per-call accessors: the owner by OwnerOf's binary search, the
+// row from SuccessorOf/PredecessorOf/OutLinks, greedy as three full
+// passes, backtracking as a scan of the row sorted by (distance, id).
+
+/// The router row: successor, predecessor when distinct, long links.
+std::vector<PeerId> OracleRow(NetworkView net, PeerId id) {
+  std::vector<PeerId> row;
+  const std::optional<PeerId> succ = net.SuccessorOf(id);
+  const std::optional<PeerId> pred = net.PredecessorOf(id);
+  if (succ.has_value()) row.push_back(*succ);
+  if (pred.has_value() && pred != succ) row.push_back(*pred);
+  for (PeerId target : net.OutLinks(id)) row.push_back(target);
+  return row;
+}
+
+bool OracleOwns(NetworkView net, PeerId id, KeyId target) {
+  const std::optional<PeerId> owner = net.OwnerOf(target);
+  return owner.has_value() && *owner == id;
+}
+
+class OracleGreedy {
+ public:
+  void Start(NetworkView net, PeerId source, KeyId target) {
+    result_ = RouteResult{};
+    result_.terminal = source;
+    result_.path = {source};
+    target_ = target;
+    current_ = source;
+    done_ = !net.OwnerOf(target).has_value() || !net.alive(source);
+  }
+
+  RouteStep Step(NetworkView net) {
+    RouteStep step;
+    step.from = current_;
+    if (OracleOwns(net, current_, target_)) {
+      result_.success = true;
+      result_.terminal = current_;
+      done_ = true;
+      step.kind = StepKind::kArrived;
+      return step;
+    }
+    const std::vector<PeerId> row = OracleRow(net, current_);
+    const auto distance = [&](PeerId id) {
+      return RingDistance(net.key(id), target_);
+    };
+    const uint64_t here = distance(current_);
+    PeerId best = current_;
+    uint64_t best_distance = here;
+    for (PeerId candidate : row) {
+      if (net.alive(candidate) && distance(candidate) < best_distance) {
+        best = candidate;
+        best_distance = distance(candidate);
+      }
+    }
+    if (best == current_) {
+      result_.terminal = current_;
+      done_ = true;
+      step.kind = StepKind::kStuck;
+      return step;
+    }
+    const uint64_t band =
+        best_distance + best_distance / 2 < best_distance
+            ? UINT64_MAX
+            : best_distance + best_distance / 2;
+    for (PeerId candidate : row) {
+      if (!net.alive(candidate) || candidate == best) continue;
+      const uint64_t d = distance(candidate);
+      if (d < here && d <= band &&
+          net.caps(candidate).max_in > net.caps(best).max_in) {
+        best = candidate;
+      }
+    }
+    for (PeerId candidate : row) {
+      if (!net.alive(candidate) && distance(candidate) < distance(best)) {
+        ++result_.wasted;
+        ++step.dead_probes;
+      }
+    }
+    current_ = best;
+    ++result_.hops;
+    result_.path.push_back(best);
+    result_.terminal = best;
+    step.kind = StepKind::kForward;
+    step.to = best;
+    return step;
+  }
+
+  bool FailDelivery() {
+    if (done_ || result_.path.size() < 2) return false;
+    result_.path.pop_back();
+    --result_.hops;
+    ++result_.wasted;
+    current_ = result_.path.back();
+    result_.terminal = current_;
+    return true;
+  }
+
+  bool done() const { return done_; }
+  const RouteResult& result() const { return result_; }
+  PeerId current() const { return current_; }
+
+ private:
+  RouteResult result_;
+  KeyId target_;
+  PeerId current_ = 0;
+  bool done_ = true;
+};
+
+class OracleBacktracking {
+ public:
+  void Start(NetworkView net, PeerId source, KeyId target) {
+    result_ = RouteResult{};
+    result_.terminal = source;
+    result_.path = {source};
+    target_ = target;
+    source_ = source;
+    visited_ = {source};
+    probed_dead_.clear();
+    stack_ = {source};
+    done_ = !net.OwnerOf(target).has_value() || !net.alive(source);
+  }
+
+  RouteStep Step(NetworkView net) {
+    RouteStep step;
+    const PeerId current = stack_.back();
+    step.from = current;
+    if (OracleOwns(net, current, target_)) {
+      result_.success = true;
+      result_.terminal = current;
+      done_ = true;
+      step.kind = StepKind::kArrived;
+      return step;
+    }
+    std::vector<std::pair<uint64_t, PeerId>> ordered;
+    for (PeerId candidate : OracleRow(net, current)) {
+      ordered.emplace_back(RingDistance(net.key(candidate), target_),
+                           candidate);
+    }
+    std::sort(ordered.begin(), ordered.end());
+    for (const auto& [distance, candidate] : ordered) {
+      (void)distance;
+      if (visited_.count(candidate) != 0) continue;
+      if (!net.alive(candidate)) {
+        if (probed_dead_.insert(candidate).second) {
+          ++result_.wasted;
+          ++step.dead_probes;
+        }
+        continue;
+      }
+      visited_.insert(candidate);
+      stack_.push_back(candidate);
+      ++result_.hops;
+      result_.path.push_back(candidate);
+      result_.terminal = candidate;
+      step.kind = StepKind::kForward;
+      step.to = candidate;
+      return step;
+    }
+    stack_.pop_back();
+    ++result_.wasted;
+    if (stack_.empty()) {
+      result_.terminal = source_;
+      done_ = true;
+      step.kind = StepKind::kStuck;
+      return step;
+    }
+    result_.terminal = stack_.back();
+    step.kind = StepKind::kBacktrack;
+    step.to = stack_.back();
+    return step;
+  }
+
+  bool FailDelivery() {
+    if (done_ || stack_.size() < 2) return false;
+    const PeerId failed = stack_.back();
+    stack_.pop_back();
+    ++result_.wasted;
+    if (result_.path.back() == failed) {
+      result_.path.pop_back();
+      --result_.hops;
+    }
+    probed_dead_.insert(failed);
+    result_.terminal = stack_.back();
+    return true;
+  }
+
+  bool done() const { return done_; }
+  const RouteResult& result() const { return result_; }
+  PeerId current() const { return stack_.empty() ? source_ : stack_.back(); }
+
+ private:
+  RouteResult result_;
+  KeyId target_;
+  PeerId source_ = 0;
+  bool done_ = true;
+  std::unordered_set<PeerId> visited_;
+  std::unordered_set<PeerId> probed_dead_;
+  std::vector<PeerId> stack_;
+};
+
+/// What a lockstep run exercised, so the test can prove its coverage.
+struct OracleCoverage {
+  size_t steps = 0;
+  size_t dead_probe_steps = 0;
+  size_t failed_deliveries = 0;
+  size_t mid_route_crashes = 0;
+  size_t band_moves = 0;  // Greedy hops that did not take the closest.
+};
+
+/// Steps the oracle and the kernel side by side from `source` toward
+/// `target` over `net`, requiring identical steps and route state after
+/// every call. Every forward is reported undelivered with probability
+/// 1/6: when `crash_in` is given (it must be the Network `net` reads),
+/// the failed hop's peer is crashed first, as MessageSim would see it,
+/// and other steps may crash a peer the route already passed; otherwise
+/// the hop fails on a frozen backend as a lost message would.
+template <typename Oracle, typename Kernel>
+void ExpectLockstep(NetworkView net, Network* crash_in, PeerId source,
+                    KeyId target, Rng* rng, OracleCoverage* coverage) {
+  Oracle oracle;
+  Kernel kernel;
+  oracle.Start(net, source, target);
+  kernel.Start(net, source, target);
+  ASSERT_EQ(oracle.done(), kernel.done());
+  const size_t budget = 8 * net.alive_count() + 64;
+  for (size_t call = 0; call < budget && !oracle.done(); ++call) {
+    const RouteStep want = oracle.Step(net);
+    const RouteStep got = kernel.Step(net);
+    ASSERT_EQ(want.kind, got.kind) << "call " << call;
+    ASSERT_EQ(want.from, got.from);
+    ASSERT_EQ(want.to, got.to);
+    ASSERT_EQ(want.dead_probes, got.dead_probes);
+    ASSERT_EQ(oracle.done(), kernel.done());
+    ++coverage->steps;
+    if (got.dead_probes > 0) ++coverage->dead_probe_steps;
+    if (got.kind == StepKind::kForward) {
+      const std::vector<PeerId> row = OracleRow(net, got.from);
+      const bool closest = std::none_of(row.begin(), row.end(), [&](PeerId p) {
+        return net.alive(p) && RingDistance(net.key(p), target) <
+                                   RingDistance(net.key(got.to), target);
+      });
+      if (!closest) ++coverage->band_moves;
+    }
+    const bool can_crash =
+        crash_in != nullptr && crash_in->alive_count() >= 3;
+    if (got.kind == StepKind::kForward && got.to != source &&
+        rng->UniformInt(6) == 0 && (crash_in == nullptr || can_crash)) {
+      if (crash_in != nullptr) crash_in->Crash(got.to);
+      ASSERT_EQ(oracle.FailDelivery(), kernel.FailDelivery(net));
+      ++coverage->failed_deliveries;
+    } else if (can_crash && rng->UniformInt(4) == 0) {
+      // Churn mid-route: a peer the route already visited crashes (the
+      // dead end it just backtracked from, else an earlier hop), so
+      // later scans meet a dead peer that is visited.
+      const std::vector<PeerId>& path = kernel.result().path;
+      const PeerId victim =
+          got.kind == StepKind::kBacktrack
+              ? got.from
+              : path[static_cast<size_t>(rng->UniformInt(path.size()))];
+      if (victim != source && victim != kernel.current() &&
+          crash_in->alive(victim)) {
+        crash_in->Crash(victim);
+        ++coverage->mid_route_crashes;
+      }
+    }
+    const RouteResult& a = oracle.result();
+    const RouteResult& b = kernel.result();
+    ASSERT_EQ(a.hops, b.hops);
+    ASSERT_EQ(a.wasted, b.wasted);
+    ASSERT_EQ(a.terminal, b.terminal);
+    ASSERT_EQ(a.success, b.success);
+    ASSERT_EQ(a.path, b.path);
+    ASSERT_EQ(oracle.current(), kernel.current());
+  }
+}
+
+/// A Kleinberg network with heterogeneous in-budgets (so the greedy band
+/// relaxation has a choice to make) in which every peer also tries a
+/// long link to its ring successor: those rows list one peer twice.
+Network MixedCapsNetwork(size_t n, uint64_t seed) {
+  Network net;
+  Rng rng(seed);
+  for (size_t i = 0; i < n; ++i) {
+    const auto in = static_cast<uint32_t>(2 + rng.UniformInt(15));
+    net.Join(KeyId::FromUnit(rng.NextDouble()), DegreeCaps{in, 10});
+  }
+  for (PeerId id : net.AlivePeers()) {
+    net.AddLongLink(id, *net.SuccessorOf(id));
+  }
+  KleinbergOverlay overlay;
+  for (PeerId id : net.AlivePeers()) {
+    EXPECT_TRUE(overlay.BuildLinks(&net, id, &rng).ok());
+  }
+  return net;
+}
+
+/// Row entries that are a ring neighbor and a long link at once.
+size_t DuplicateRowEntries(const Network& net) {
+  size_t duplicates = 0;
+  for (PeerId id : net.AlivePeers()) {
+    const std::vector<PeerId> row = OracleRow(net, id);
+    const std::unordered_set<PeerId> distinct(row.begin(), row.end());
+    duplicates += row.size() - distinct.size();
+  }
+  return duplicates;
+}
+
+/// A key equidistant from two alive long links of `source`, so the
+/// first step can score a tie between distinct peers — where the first
+/// and the last minimum differ. nullopt when no pair fits.
+std::optional<KeyId> TieTarget(const Network& net, PeerId source) {
+  std::vector<uint64_t> keys;
+  for (PeerId link : net.OutLinks(source)) {
+    if (net.alive(link)) keys.push_back(net.key(link).raw);
+  }
+  for (size_t i = 0; i + 1 < keys.size(); ++i) {
+    const uint64_t cw = keys[i + 1] - keys[i];
+    if (cw % 2 != 0) continue;
+    return KeyId::FromRaw(cw <= (uint64_t{1} << 63)
+                              ? keys[i] + cw / 2
+                              : keys[i + 1] + (keys[i] - keys[i + 1]) / 2);
+  }
+  return std::nullopt;
+}
+
+template <typename Oracle, typename Kernel>
+void CheckKernelAgainstOracle() {
+  OracleCoverage coverage;
+  for (uint64_t seed = 42; seed <= 45; ++seed) {
+    for (double crash : {0.0, 0.15, 0.33}) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed " << seed << ", crash " << crash);
+      Network net = MixedCapsNetwork(240, seed);
+      ASSERT_GT(DuplicateRowEntries(net), 0u);
+      Rng rng(seed * 10 + static_cast<uint64_t>(crash * 100));
+      if (crash > 0.0) {
+        ASSERT_TRUE(CrashFraction(&net, crash, &rng).ok());
+      }
+      const TopologySnapshot snap(net);
+      const std::vector<PeerId> peers = net.AlivePeers();
+      for (int q = 0; q < 40; ++q) {
+        KeyId key = KeyId::FromUnit(rng.NextDouble());
+        const PeerId source =
+            peers[static_cast<size_t>(rng.UniformInt(peers.size()))];
+        if (q % 2 == 1) key = TieTarget(net, source).value_or(key);
+        ExpectLockstep<Oracle, Kernel>(snap, nullptr, source, key, &rng,
+                                       &coverage);
+        // The live backend works on a private copy: its crashes must
+        // not leak into later queries.
+        Network copy = net;
+        ExpectLockstep<Oracle, Kernel>(copy, &copy, source, key, &rng,
+                                       &coverage);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(coverage.steps, 5000u);
+  EXPECT_GT(coverage.dead_probe_steps, 250u);
+  EXPECT_GT(coverage.failed_deliveries, 1000u);
+  EXPECT_GT(coverage.mid_route_crashes, 200u);
+  if (std::is_same_v<Kernel, GreedyStepper>) {
+    EXPECT_GT(coverage.band_moves, 200u);
+  }
+}
+
+TEST(RouteStepperTest, GreedyKernelMatchesOracleStepByStep) {
+  CheckKernelAgainstOracle<OracleGreedy, GreedyStepper>();
+}
+
+TEST(RouteStepperTest, BacktrackingKernelMatchesOracleStepByStep) {
+  CheckKernelAgainstOracle<OracleBacktracking, BacktrackingStepper>();
 }
 
 TEST(RouteStepperTest, MakeRouteStepperResolvesNames) {
