@@ -5,6 +5,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
+
 namespace oscar {
 
 void ParallelForWorkers(uint32_t threads, size_t count,
@@ -59,13 +61,9 @@ void ParallelFor(uint32_t threads, size_t count,
 
 uint32_t ThreadCountFromEnv() {
   const char* value = std::getenv("OSCAR_THREADS");
-  if (value == nullptr || *value == '\0') return 1;
-  // strtoul "accepts" a leading minus by wrapping; treat it as garbage
-  // instead of 2^64-ish threads.
-  if (*value == '-' || *value == '+') return 1;
-  char* end = nullptr;
-  const unsigned long parsed = std::strtoul(value, &end, 10);
-  if (end == nullptr || *end != '\0' || parsed == 0 || parsed > 256ul) {
+  uint64_t parsed = 0;
+  if (value == nullptr || !ParseUint(value, &parsed) || parsed == 0 ||
+      parsed > 256) {
     return 1;
   }
   return static_cast<uint32_t>(parsed);

@@ -21,10 +21,8 @@ namespace {
 
 uint64_t EnvOrDefault(const char* name, uint64_t fallback) {
   const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  return (end == nullptr || *end != '\0') ? fallback : parsed;
+  uint64_t parsed = 0;
+  return value != nullptr && ParseUint(value, &parsed) ? parsed : fallback;
 }
 
 }  // namespace

@@ -280,23 +280,20 @@ Result<GrowthResult> Simulation::Run() {
 
     while (next_checkpoint < checkpoints.size() &&
            network_.alive_count() == checkpoints[next_checkpoint]) {
-      if (config_.rewire_at_checkpoints) {
-        const auto rewire_start = std::chrono::steady_clock::now();
-        const Status rewired =
-            RewireAllPeers(next_checkpoint, threads, &rng);
-        if (!rewired.ok()) return rewired;
-        result.rewire_wall_ms +=
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - rewire_start)
-                .count();
-        ++result.rewire_count;
-        // A global rewire touches every peer's link state — the widest
-        // mutation in the system, and the one the structural audit is
-        // cheapest relative to.
-        if (AuditEnabled()) {
-          const Status audit = network_.CheckInvariants();
-          OSCAR_AUDIT(audit.ok(), "post-rewire network: " + audit.message());
-        }
+      const auto rewire_start = std::chrono::steady_clock::now();
+      const Status rewired = RewireAllPeers(next_checkpoint, threads, &rng);
+      if (!rewired.ok()) return rewired;
+      result.rewire_wall_ms +=
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - rewire_start)
+              .count();
+      ++result.rewire_count;
+      // A global rewire touches every peer's link state — the widest
+      // mutation in the system, and the one the structural audit is
+      // cheapest relative to.
+      if (AuditEnabled()) {
+        const Status audit = network_.CheckInvariants();
+        OSCAR_AUDIT(audit.ok(), "post-rewire network: " + audit.message());
       }
       CheckpointResult checkpoint;
       checkpoint.network_size = network_.alive_count();

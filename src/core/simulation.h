@@ -76,15 +76,14 @@ struct GrowthConfig {
   size_t queries_per_checkpoint = 0;
   uint64_t seed = 0;
   /// Sizes at which the network is rewired and evaluated, ascending.
-  /// Empty means a single checkpoint at target_size.
+  /// Empty means a single checkpoint at target_size. Every peer's long
+  /// links are rewired at each checkpoint before evaluating (the
+  /// paper's periodic global rewiring); joins between checkpoints only
+  /// wire the joining peer.
   std::vector<size_t> checkpoints;
   KeyDistributionPtr key_distribution;
   DegreeDistributionPtr degree_distribution;
   OverlayPtr overlay;
-  /// Rewire every peer's long links at each checkpoint before
-  /// evaluating (the paper's periodic global rewiring); joins between
-  /// checkpoints only wire the joining peer.
-  bool rewire_at_checkpoints = true;
   /// Worker threads for the checkpoint-rewiring fan-out (overlays that
   /// support planning freeze the pre-checkpoint topology and plan every
   /// peer concurrently over it). 0 resolves OSCAR_THREADS from the

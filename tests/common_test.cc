@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -172,6 +174,25 @@ TEST(LogHistogramTest, MergeIsOrderIndependentAndLossless) {
     EXPECT_DOUBLE_EQ(merged->Percentile(99), whole.Percentile(99));
     EXPECT_DOUBLE_EQ(merged->Max(), whole.Max());
   }
+}
+
+TEST(ThreadPoolTest, ThreadCountFromEnvIsStrictAndClamped) {
+  // The suite itself may run under OSCAR_THREADS; restore it after.
+  const char* ambient = std::getenv("OSCAR_THREADS");
+  const std::string saved = ambient == nullptr ? "" : ambient;
+  const auto threads = [](const char* value) {
+    setenv("OSCAR_THREADS", value, 1);
+    return ThreadCountFromEnv();
+  };
+  EXPECT_EQ(threads("4"), 4u);
+  EXPECT_EQ(threads("256"), 256u);
+  for (const char* bad : {"", "0", "257", "-1", " 5", "5x",
+                          "18446744073709551616"}) {
+    EXPECT_EQ(threads(bad), 1u) << "'" << bad << "'";
+  }
+  unsetenv("OSCAR_THREADS");
+  EXPECT_EQ(ThreadCountFromEnv(), 1u);
+  if (ambient != nullptr) setenv("OSCAR_THREADS", saved.c_str(), 1);
 }
 
 TEST(ThreadPoolTest, ParallelForWorkersCoversEveryIndexOnce) {

@@ -43,6 +43,18 @@ TEST_F(ScaleFromEnvTest, EnvOverrides) {
   EXPECT_EQ(scale.checkpoints.back(), 240u);
 }
 
+TEST_F(ScaleFromEnvTest, MalformedIntegersFallBackToDefaults) {
+  for (const char* bad : {"-1", " 5", "5x", "18446744073709551616"}) {
+    setenv("OSCAR_BENCH_SIZE", bad, 1);
+    setenv("OSCAR_BENCH_QUERIES", bad, 1);
+    setenv("OSCAR_BENCH_SEED", bad, 1);
+    const ExperimentScale scale = ScaleFromEnv();
+    EXPECT_EQ(scale.target_size, 600u) << "'" << bad << "'";
+    EXPECT_EQ(scale.queries, 600u) << "'" << bad << "'";
+    EXPECT_EQ(scale.seed, 42u) << "'" << bad << "'";
+  }
+}
+
 ExperimentScale TinyScale() {
   ExperimentScale scale;
   scale.target_size = 150;

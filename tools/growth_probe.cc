@@ -1,29 +1,28 @@
-// Growth micro-probe for the perf artifact: grows one fig1c-style
-// Oscar network (Gnutella keys, "realistic" degrees) and reports the
-// wall time of the checkpoint-rewiring phase — the post-PR4 growth
-// bottleneck — as one JSON object on stdout.
+// Growth micro-probe: grows one fig1c-style Oscar network (Gnutella
+// keys, "realistic" degrees) and reports the wall time of the
+// checkpoint-rewiring phase, the whole growth and the peak RSS as one
+// JSON object on stdout.
 //
 //   OSCAR_BENCH_SCALE  tier (smoke|n3000|paper|huge); "huge" switches
 //                      the overlay to oracle segment sampling (walks
 //                      are wall-clock-infeasible at 10^6 peers)
-//   OSCAR_BENCH_SIZE   target size (default 3000, the probe scale the
-//                      perf trajectory tracks)
+//   OSCAR_BENCH_SIZE   target size (default: the tier's, 600 at smoke)
 //   OSCAR_BENCH_SEED   growth seed (default 42)
 //   OSCAR_THREADS      rewiring/planning worker threads (default 1)
 //   OSCAR_JOIN_BATCH   joins planned per wave over a shared epoch
 //                      snapshot (default 0 = the sequential per-join
 //                      path; see GrowthConfig::join_batch)
 //
-// scripts/run_benches.sh runs it at 1 and max threads and folds the
-// rows into the BENCH artifact; scripts/compare_benches.py diffs them
-// across PRs. Timing goes to the JSON only — the probe prints no
-// topology-dependent numbers, so it stays out of the determinism
-// contract's way.
+// Every row carries the build flavor that produced it, so a sanitizer
+// row is never mistaken for a timing run. Timing goes to the JSON only —
+// the probe prints no topology-dependent numbers, so it stays out of
+// the determinism contract's way. benchmark/ is the repository's timing
+// benchmark; this probe is the huge-tier and TSan smoke driver.
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <thread>
 
@@ -32,25 +31,12 @@
 #endif
 
 #include "common/audit.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/experiments.h"
 #include "core/simulation.h"
 #include "overlay/oscar/oscar_overlay.h"
 #include "sampling/oracle_sampler.h"
-
-// Build-flavor stamp (CMake compile definitions): every BENCH row
-// carries which build produced it, so compare_benches.py can refuse to
-// diff wall times across mismatched flavors — a sanitizer run must
-// never pollute the perf trajectory.
-#ifndef OSCAR_SANITIZE_FLAVOR
-#define OSCAR_SANITIZE_FLAVOR "none"
-#endif
-#ifndef OSCAR_BUILD_TYPE
-#define OSCAR_BUILD_TYPE "unknown"
-#endif
-#ifndef OSCAR_COMPILER_ID
-#define OSCAR_COMPILER_ID "unknown"
-#endif
 
 namespace {
 
@@ -70,29 +56,21 @@ long PeakRssKb() {
 #endif
 }
 
+// Garbage, negative or above-uint32 values fall back to 0.
 uint32_t JoinBatchFromEnv() {
   const char* value = std::getenv("OSCAR_JOIN_BATCH");
-  if (value == nullptr || *value == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long parsed = std::strtoul(value, &end, 10);
-  return (end == nullptr || *end != '\0') ? 0
-                                           : static_cast<uint32_t>(parsed);
+  uint64_t parsed = 0;
+  if (value == nullptr || !oscar::ParseUint(value, &parsed) ||
+      parsed > UINT32_MAX) {
+    return 0;
+  }
+  return static_cast<uint32_t>(parsed);
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace oscar;
-  // `growth_probe --flavor` prints only the build-flavor stamp — the
-  // hook scripts/run_benches.sh uses to stamp the artifact's top level
-  // without growing a network first.
-  if (argc > 1 && std::strcmp(argv[1], "--flavor") == 0) {
-    std::printf(
-        "{\"sanitizer\": \"%s\", \"build_type\": \"%s\", "
-        "\"compiler\": \"%s\"}\n",
-        OSCAR_SANITIZE_FLAVOR, OSCAR_BUILD_TYPE, OSCAR_COMPILER_ID);
-    return 0;
-  }
   if (AuditEnabled()) {
     std::fprintf(stderr,
                  "growth_probe: OSCAR_AUDIT=1 — runtime invariant audits on\n");

@@ -9,8 +9,6 @@
 //                                        limiting off: one burst at t=0)
 //   oscar_serve --policies=none,timeout  admission policies to compare
 //   oscar_serve --hot-keys=16            Zipf-hot query keys
-//   oscar_serve --bench-json             one JSON object for the BENCH
-//                                        artifact instead of tables
 //   oscar_serve --trace-file=F           per-cell admission/queue-depth
 //                                        timelines from the virtual-time
 //                                        sweep; `.otrace` = binary
@@ -24,13 +22,12 @@
 // (OSCAR_BENCH_SCALE/SIZE/SEED); the route-phase worker count from
 // OSCAR_THREADS. stdout is byte-identical across runs AND across
 // OSCAR_THREADS for identical knobs — wall-clock throughput goes to
-// stderr (or into --bench-json, which opts out of the byte contract).
+// stderr.
 //
 // Exit codes: 0 on success, 2 on flag-parse or infrastructure errors.
 
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -56,7 +53,7 @@ void PrintUsage(std::ostream& out) {
          "                   [--policies=p1,p2,...] [--concurrency=C]\n"
          "                   [--burst=B] [--hop-ms=MS] [--hot-keys=K]\n"
          "                   [--zipf=S] [--queue-cap=Q] [--timeout-ms=MS]\n"
-         "                   [--peer-cap=K] [--bench-json]\n"
+         "                   [--peer-cap=K]\n"
          "                   [--trace-file=F] [--trace-format=csv|otrace]\n"
          "                   [--queue-cadence-ms=MS] [--list-policies]\n"
          "policies:";
@@ -160,30 +157,6 @@ void PrintTables(const ServeReport& report) {
             << report.cells.size() << "x)\n";
 }
 
-void PrintBenchJson(const ScenarioOptions& base, const ServeOptions& serve,
-                    const ServeReport& report, double grow_s) {
-  std::printf(
-      "{\"size\": %zu, \"threads\": %u, \"lookups\": %zu, "
-      "\"grow_s\": %.2f, \"route_wall_s\": %.3f, "
-      "\"route_lookups_per_s\": %.0f, \"mean_messages\": %.2f, "
-      "\"service_p50_ms\": %.2f, \"service_p99_ms\": %.2f, "
-      "\"cells\": [",
-      base.network_size, serve.threads, serve.lookups, grow_s,
-      report.route_wall_s, report.route_lookups_per_s,
-      report.mean_messages, report.service.p50_ms, report.service.p99_ms);
-  for (size_t i = 0; i < report.cells.size(); ++i) {
-    const ServeCellReport& cell = report.cells[i];
-    std::printf(
-        "%s{\"offered_per_s\": %.0f, \"policy\": \"%s\", "
-        "\"achieved_per_s\": %.0f, \"dropped\": %zu, \"shed\": %zu, "
-        "\"p50_ms\": %.2f, \"p99_ms\": %.2f, \"p999_ms\": %.2f}",
-        i == 0 ? "" : ", ", cell.offered_per_s, cell.policy.c_str(),
-        cell.achieved_per_s, cell.dropped, cell.shed, cell.latency.p50_ms,
-        cell.latency.p99_ms, cell.latency.p999_ms);
-  }
-  std::printf("]}\n");
-}
-
 int RunCli(const std::vector<std::string>& args) {
   // Runtime invariant audits (common/audit.h): the growth/freeze path
   // under this CLI self-checks when OSCAR_AUDIT=1. Stderr only.
@@ -191,7 +164,6 @@ int RunCli(const std::vector<std::string>& args) {
     std::cerr << "oscar_serve: OSCAR_AUDIT=1 — runtime invariant audits on\n";
   }
   ServeOptions serve;
-  bool bench_json = false;
   bool list_policies = false;
   std::string trace_path;
   std::string trace_format;  // "" = decide by extension.
@@ -206,8 +178,6 @@ int RunCli(const std::vector<std::string>& args) {
       return 0;
     } else if (arg == "--list-policies") {
       list_policies = true;
-    } else if (arg == "--bench-json") {
-      bench_json = true;
     } else if (FlagValue(arg, "--lookups", &value)) {
       if (!ParseUint(value, &number) || number == 0) {
         return RejectUsage(StrCat("--lookups wants a positive integer, "
@@ -363,7 +333,7 @@ int RunCli(const std::vector<std::string>& args) {
   serve.seed = scale.seed;
   serve.threads = ThreadCountFromEnv();
 
-  if (!bench_json) PrintBanner(base, serve);
+  PrintBanner(base, serve);
 
   const auto grow_start = std::chrono::steady_clock::now();
   auto grown = GrowScenarioTopology(base);
@@ -396,11 +366,7 @@ int RunCli(const std::vector<std::string>& args) {
     }
   }
 
-  if (bench_json) {
-    PrintBenchJson(base, serve, report, grow_s);
-  } else {
-    PrintTables(report);
-  }
+  PrintTables(report);
   // Wall-clock numbers stay off stdout: the summary's byte-identity
   // across OSCAR_THREADS is part of the CLI's contract.
   std::cerr << "# timing: grow=" << FormatDouble(grow_s, 2)
