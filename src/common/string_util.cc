@@ -46,12 +46,33 @@ bool ParseDouble(const std::string& text, double* out) {
   return true;
 }
 
-bool FlagValue(const std::string& arg, const std::string& flag,
-               std::string* value) {
-  const std::string prefix = flag + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
+bool TakeFlag(const std::vector<std::string>& args, size_t* i,
+              const std::string& flag, std::string* value) {
+  const std::string& arg = args[*i];
+  if (arg == flag) {
+    const bool has_next = *i + 1 < args.size();
+    *value = has_next ? args[++*i] : std::string();
+    return true;
+  }
+  if (arg.size() <= flag.size() || arg[flag.size()] != '=' ||
+      arg.compare(0, flag.size(), flag) != 0) {
+    return false;
+  }
+  *value = arg.substr(flag.size() + 1);
   return true;
+}
+
+std::vector<std::string> SplitCommaList(const std::string& list) {
+  std::vector<std::string> out;
+  size_t start = 0;
+  while (start <= list.size()) {
+    const size_t comma = list.find(',', start);
+    const size_t end = comma == std::string::npos ? list.size() : comma;
+    if (end > start) out.push_back(list.substr(start, end - start));
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  return out;
 }
 
 }  // namespace oscar

@@ -4,9 +4,11 @@
 #ifndef OSCAR_COMMON_STRING_UTIL_H_
 #define OSCAR_COMMON_STRING_UTIL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace oscar {
 
@@ -35,10 +37,17 @@ bool ParseUint(const std::string& text, uint64_t* out);
 /// and non-finite values (nan, inf). `out` is untouched on failure.
 bool ParseDouble(const std::string& text, double* out);
 
-/// `--flag=value` splitter: true when `arg` starts with `flag=`, with
-/// the (possibly empty) remainder in `value`.
-bool FlagValue(const std::string& arg, const std::string& flag,
-               std::string* value);
+/// The command-line tools' one value-flag grammar: true when args[*i]
+/// is `flag`, in either form. `--flag=value` yields the (possibly empty)
+/// remainder; `--flag value` yields the next argument verbatim and
+/// advances *i past it. A bare `flag` with nothing after it yields an
+/// empty value, which every caller rejects like an empty `flag=`.
+bool TakeFlag(const std::vector<std::string>& args, size_t* i,
+              const std::string& flag, std::string* value);
+
+/// Splits a comma-separated list, dropping empty items: "a,,b," yields
+/// {"a", "b"} and ",," yields nothing.
+std::vector<std::string> SplitCommaList(const std::string& list);
 
 }  // namespace oscar
 

@@ -1,5 +1,9 @@
 #include "keyspace/key_distribution.h"
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
+
 namespace oscar {
 
 ClusteredKeyDistribution::ClusteredKeyDistribution() : background_(0.02) {
@@ -30,6 +34,25 @@ KeyId ClusteredKeyDistribution::Sample(Rng* rng) const {
     }
   }
   return KeyId::FromUnit(rng->NextDouble());
+}
+
+ZipfHotKeys::ZipfHotKeys(std::vector<KeyId> keys, double exponent)
+    : keys_(std::move(keys)) {
+  double total = 0.0;
+  cumulative_.reserve(keys_.size());
+  for (size_t rank = 1; rank <= keys_.size(); ++rank) {
+    total += 1.0 / std::pow(static_cast<double>(rank), exponent);
+    cumulative_.push_back(total);
+  }
+  for (double& c : cumulative_) c /= total;
+}
+
+KeyId ZipfHotKeys::Sample(Rng* rng) const {
+  const double u = rng->NextDouble();
+  const auto it = std::upper_bound(cumulative_.begin(), cumulative_.end(), u);
+  const size_t index = std::min(
+      static_cast<size_t>(it - cumulative_.begin()), keys_.size() - 1);
+  return keys_[index];
 }
 
 }  // namespace oscar

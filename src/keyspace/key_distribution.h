@@ -51,6 +51,21 @@ class ClusteredKeyDistribution : public KeyDistribution {
   double background_;  // Probability mass of the uniform background.
 };
 
+/// Query-key skew over a fixed, non-empty set of hot keys: rank r
+/// (1-based position in `keys`) is drawn with probability ∝ 1/r^s.
+/// Inverse-CDF sampling keeps one rng draw per query. Sample only reads
+/// the instance, so concurrent callers may share one.
+class ZipfHotKeys final : public KeyDistribution {
+ public:
+  ZipfHotKeys(std::vector<KeyId> keys, double exponent);
+  KeyId Sample(Rng* rng) const override;
+  std::string name() const override { return "zipf-hot"; }
+
+ private:
+  std::vector<KeyId> keys_;
+  std::vector<double> cumulative_;
+};
+
 }  // namespace oscar
 
 #endif  // OSCAR_KEYSPACE_KEY_DISTRIBUTION_H_

@@ -34,10 +34,7 @@ PeerLinkPlan MercuryOverlay::PlanFrom(NetworkView net, KeyId own_key,
   const size_t n = net.alive_count();
   if (budget == 0 || n < 3) return plan;
   const double log_n = std::log(static_cast<double>(n));
-  // A few backup slots beyond the budget: plans are blind to each
-  // other, so some candidates die at apply against in-caps other plans
-  // saturated first (mirrors OscarOptions::plan_backup_slots).
-  const size_t slots = static_cast<size_t>(budget) + 4;
+  const size_t slots = static_cast<size_t>(budget) + kPlanBackupSlots;
   const size_t max_attempts = 8 * slots + 8;
   for (size_t attempt = 0;
        plan.candidates.size() < slots && attempt < max_attempts;

@@ -9,6 +9,9 @@
 namespace oscar {
 namespace {
 
+/// Safety cap on the partition count log2(N-hat).
+constexpr uint32_t kMaxPartitions = 48;
+
 OscarOptions WithDefaults(OscarOptions options) {
   if (options.size_estimator == nullptr) {
     options.size_estimator = std::make_shared<OracleSizeEstimator>();
@@ -68,7 +71,7 @@ std::vector<RingSegment> OscarPartitioner::ComputePartitionsFromKey(
   const double n_hat =
       options_->size_estimator->Estimate(net, origin, rng);
   const uint32_t k = std::min(
-      options_->max_partitions,
+      kMaxPartitions,
       std::max(1u, static_cast<uint32_t>(std::floor(
                        std::log2(std::max(2.0, n_hat))))));
 
@@ -203,7 +206,7 @@ void OscarOverlay::FillPlanSlots(NetworkView net, PeerId origin,
   // live. Planning only rejects what the peer itself can see:
   // re-sampled primaries already slotted in its own plan.
   const size_t slots =
-      static_cast<size_t>(plan->budget) + options_.plan_backup_slots;
+      static_cast<size_t>(plan->budget) + kPlanBackupSlots;
   // Stratified first round — one slot pinned to each partition,
   // farthest first — then uniform partition draws, the paper's
   // construction (one neighbor per partition) generalized to budgets

@@ -25,13 +25,6 @@ struct OscarOptions {
   uint32_t samples_per_median = 9;  // Per-median sample size (ablation X2).
   bool use_p2c = true;              // Power-of-two-choices in-degree balance.
   uint32_t attempts_per_link = 8;   // Saturated-target retries per link.
-  uint32_t max_partitions = 48;     // Safety cap on log2(N-hat).
-  /// Extra candidate slots PlanLinks proposes beyond the out budget.
-  /// Plans are computed blind to each other, so some slots die at
-  /// apply time against targets other plans saturated first; the
-  /// backups (plus each slot's p2c alternate) let ApplyLinkPlan refill
-  /// without a second sampling round.
-  uint32_t plan_backup_slots = 4;
 };
 
 /// A clockwise ring segment [from, to).
@@ -126,7 +119,7 @@ class OscarOverlay : public Overlay {
 
   /// The shared slot loop of PlanLinks and PlanJoinLinks: stratified
   /// first round over `partitions`, then uniform draws, deduped on
-  /// primaries, until budget + plan_backup_slots candidates are filled.
+  /// primaries, until budget + kPlanBackupSlots candidates are filled.
   /// `origin` is the walk origin (the peer itself when rewiring, the
   /// joiner key's owner when join-planning).
   void FillPlanSlots(NetworkView net, PeerId origin,

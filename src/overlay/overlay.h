@@ -32,6 +32,13 @@ struct PeerLinkPlan {
   uint64_t sampling_steps = 0;  // Protocol messages this plan cost.
 };
 
+/// Candidate slots a planner proposes beyond the out budget. Plans are
+/// computed blind to each other, so some slots die at apply time
+/// against targets other plans saturated first; the backups (plus each
+/// slot's p2c alternate) let ApplyLinkPlan refill without a second
+/// sampling round.
+inline constexpr uint32_t kPlanBackupSlots = 4;
+
 class Overlay {
  public:
   virtual ~Overlay() = default;

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <deque>
 #include <limits>
+#include <optional>
 #include <queue>
 #include <utility>
 
@@ -12,6 +12,7 @@
 #include "common/thread_pool.h"
 #include "core/network_view.h"
 #include "core/rng.h"
+#include "keyspace/key_distribution.h"
 #include "routing/route_stepper.h"
 #include "serve/token_bucket.h"
 
@@ -23,20 +24,6 @@ namespace {
 // another phase's stream.
 constexpr uint64_t kRouteStream = 0x10ad;
 constexpr uint64_t kHotKeyStream = 0x407;
-
-/// Zipf CDF over ranks 1..n: rank r with probability proportional to
-/// 1/r^s (same construction as the scenario catalog's hot-key law).
-std::vector<double> ZipfCdf(size_t n, double exponent) {
-  std::vector<double> cdf;
-  cdf.reserve(n);
-  double total = 0.0;
-  for (size_t rank = 1; rank <= n; ++rank) {
-    total += 1.0 / std::pow(static_cast<double>(rank), exponent);
-    cdf.push_back(total);
-  }
-  for (double& c : cdf) c /= total;
-  return cdf;
-}
 
 }  // namespace
 
@@ -52,17 +39,17 @@ Status LoadGenerator::RoutePhase(ServeReport* report) {
   // Hot-key set: keys of randomly drawn alive peers (with replacement —
   // a duplicate just merges two popularity ranks onto one owner), so
   // every hot key has a concrete owner whose in-flight gauge the
-  // peer-cap policy can saturate.
-  std::vector<KeyId> hot_keys;
-  std::vector<double> hot_cdf;
+  // peer-cap policy can saturate. Workers share it: Sample is read-only.
+  std::optional<ZipfHotKeys> hot;
   if (options_.hot_keys > 0) {
     Rng hot_rng = Rng::Fork(options_.seed, kHotKeyStream, 0);
+    std::vector<KeyId> hot_keys;
     hot_keys.reserve(options_.hot_keys);
     for (size_t i = 0; i < options_.hot_keys; ++i) {
       const size_t pick = hot_rng.UniformInt(alive);
       hot_keys.push_back(KeyId::FromRaw(ring.entries()[pick].key_raw));
     }
-    hot_cdf = ZipfCdf(hot_keys.size(), options_.zipf_exponent);
+    hot.emplace(std::move(hot_keys), options_.zipf_exponent);
   }
 
   routed_.assign(options_.lookups, RoutedLookup{});
@@ -83,18 +70,8 @@ Status LoadGenerator::RoutePhase(ServeReport* report) {
         Rng rng = Rng::Fork(options_.seed, kRouteStream, i);
         const PeerId source =
             ring.entries()[rng.UniformInt(alive)].id;
-        KeyId key;
-        if (hot_keys.empty()) {
-          key = KeyId::FromRaw(rng.Next());
-        } else {
-          const double u = rng.NextDouble();
-          const auto it =
-              std::upper_bound(hot_cdf.begin(), hot_cdf.end(), u);
-          const size_t rank = std::min(
-              static_cast<size_t>(it - hot_cdf.begin()),
-              hot_keys.size() - 1);
-          key = hot_keys[rank];
-        }
+        const KeyId key =
+            hot ? hot->Sample(&rng) : KeyId::FromRaw(rng.Next());
 
         GreedyStepper& stepper = steppers[worker];
         stepper.Start(view, source, key);

@@ -1,7 +1,5 @@
 #include "sim/fault_plan.h"
 
-#include <cstdlib>
-
 #include "churn/churn.h"
 #include "common/string_util.h"
 
@@ -22,13 +20,6 @@ std::vector<std::string> SplitAll(const std::string& text, char sep) {
     out.push_back(text.substr(start, pos - start));
     start = pos + 1;
   }
-}
-
-bool ParseNumber(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return end != nullptr && *end == '\0';
 }
 
 Status Malformed(const std::string& fault, const std::string& why) {
@@ -84,13 +75,13 @@ Result<FaultPlan> ParseFaultPlan(const std::string& spec) {
       if (parsed.kind == FaultKind::kRegionCrash) {
         return Malformed(fault, "crashes are permanent (no +duration)");
       }
-      if (!ParseNumber(when.substr(plus + 1), &parsed.duration_ms) ||
+      if (!ParseDouble(when.substr(plus + 1), &parsed.duration_ms) ||
           parsed.duration_ms <= 0.0) {
         return Malformed(fault, "bad duration");
       }
       when = when.substr(0, plus);
     }
-    if (!ParseNumber(when, &parsed.at_ms) || parsed.at_ms < 0.0) {
+    if (!ParseDouble(when, &parsed.at_ms) || parsed.at_ms < 0.0) {
       return Malformed(fault, "bad injection time");
     }
 
@@ -98,7 +89,7 @@ Result<FaultPlan> ParseFaultPlan(const std::string& spec) {
         SplitAll(fault.substr(colon + 1), ',');
     std::vector<double> numbers(fields.size());
     for (size_t i = 0; i < fields.size(); ++i) {
-      if (!ParseNumber(fields[i], &numbers[i])) {
+      if (!ParseDouble(fields[i], &numbers[i])) {
         return Malformed(fault, StrCat("bad field '", fields[i], "'"));
       }
     }

@@ -12,41 +12,6 @@
 #include "routing/backtracking_router.h"
 
 namespace oscar {
-namespace {
-
-/// Zipf popularity over a fixed set of hot keys: key rank r (1-based)
-/// is drawn with probability ∝ 1/r^s. Inverse-CDF sampling keeps one
-/// rng draw per query.
-class ZipfHotKeys : public KeyDistribution {
- public:
-  ZipfHotKeys(std::vector<KeyId> keys, double exponent)
-      : keys_(std::move(keys)) {
-    double total = 0.0;
-    cumulative_.reserve(keys_.size());
-    for (size_t rank = 1; rank <= keys_.size(); ++rank) {
-      total += 1.0 / std::pow(static_cast<double>(rank), exponent);
-      cumulative_.push_back(total);
-    }
-    for (double& c : cumulative_) c /= total;
-  }
-
-  KeyId Sample(Rng* rng) const override {
-    const double u = rng->NextDouble();
-    const auto it =
-        std::upper_bound(cumulative_.begin(), cumulative_.end(), u);
-    const size_t index = std::min(
-        static_cast<size_t>(it - cumulative_.begin()), keys_.size() - 1);
-    return keys_[index];
-  }
-
-  std::string name() const override { return "zipf-hot"; }
-
- private:
-  std::vector<KeyId> keys_;
-  std::vector<double> cumulative_;
-};
-
-}  // namespace
 
 Result<GrownTopology> GrowScenarioTopology(const ScenarioOptions& base) {
   auto keys = MakeKeyDistribution(base.keys);
@@ -120,9 +85,11 @@ Result<ScenarioOptions> MakeScenarioOptions(const std::string& name,
   }
   if (name == "regional-crash") {
     // 15% of the ring — one correlated region — vanishes mid-run.
-    base.regional_crash_at_ms = span_ms * 0.4;
-    base.regional_center = 0.1;
-    base.regional_span = 0.15;
+    FaultSpec crash;
+    crash.kind = FaultKind::kRegionCrash;
+    crash.at_ms = span_ms * 0.4;
+    crash.a = {KeyId::FromUnit(0.1), 0.15};
+    base.faults.faults.push_back(crash);
     return base;
   }
   if (name == "message-loss") {
@@ -346,23 +313,6 @@ Result<ScenarioResult> RunScenarioOn(const std::string& name,
     ScheduleChurn(&engine, &net, options.churn, *peer_keys, *peer_degrees,
                   rebuild, &rng, &churn_report);
   }
-  size_t regional_crashed = 0;
-  Status regional_status;
-  if (options.regional_crash_at_ms >= 0.0) {
-    engine.ScheduleAt(options.regional_crash_at_ms, [&net, &options,
-                                                     &regional_crashed,
-                                                     &regional_status] {
-      auto crashed =
-          CrashSegment(&net, KeyId::FromUnit(options.regional_center),
-                       options.regional_span);
-      if (crashed.ok()) {
-        regional_crashed = crashed.value();
-      } else {
-        regional_status = crashed.status();
-      }
-    });
-  }
-
   // Injected faults: crashes through the churn hook, partitions and
   // slowdowns through the switchboard. Trace rows (kFaultInject /
   // kFaultHeal) go to the structured sink when one is attached.
@@ -419,7 +369,6 @@ Result<ScenarioResult> RunScenarioOn(const std::string& name,
   const size_t max_events = 200000 + 4000 * options.lookups;
   engine.Run(max_events);
   if (!churn_report.status.ok()) return churn_report.status;
-  if (!regional_status.ok()) return regional_status;
   if (!injector.status().ok()) return injector.status();
   if (!maintenance_status.ok()) return maintenance_status;
 
@@ -431,15 +380,13 @@ Result<ScenarioResult> RunScenarioOn(const std::string& name,
   for (const InjectedFault& fault : injector.injected()) {
     fault_crashed += fault.crashed;
   }
-  result.crashed = churn_report.left + regional_crashed + fault_crashed;
+  result.crashed = churn_report.left + fault_crashed;
   result.joined = churn_report.joined;
   result.events_dispatched = engine.dispatched();
   result.end_ms = engine.now();
   RecoveryOptions recovery_options;
   recovery_options.window =
-      options.recovery_window > 0
-          ? options.recovery_window
-          : std::min<size_t>(50, std::max<size_t>(8, options.lookups / 8));
+      std::min<size_t>(50, std::max<size_t>(8, options.lookups / 8));
   recovery_options.threshold = options.recovery_threshold;
   result.recovery =
       ComputeRecovery(sim.outcomes(), injector.injected(), recovery_options);

@@ -45,14 +45,9 @@ struct ScenarioOptions {
   // Rolling churn (events == 0 disables it).
   ChurnScheduleOptions churn;
 
-  // Correlated regional crash (at_ms < 0 disables it).
-  double regional_crash_at_ms = -1.0;
-  double regional_center = 0.25;  // Clockwise start of the doomed segment.
-  double regional_span = 0.0;     // Fraction of the unit ring.
-
   // Injected faults (region crashes, partial partitions, slow bursts)
-  // scheduled in virtual time by a FaultInjector. The hostile scenarios
-  // define their own plans; a caller-supplied plan (the --fault-plan
+  // scheduled in virtual time by a FaultInjector. regional-crash and
+  // the hostile scenarios define their own plans; a caller-supplied plan (the --fault-plan
   // flag) is injected IN ADDITION to the scenario's.
   FaultPlan faults;
 
@@ -72,9 +67,8 @@ struct ScenarioOptions {
   double hot_key_region_center = 0.0;
   double hot_key_region_span = 0.0;
 
-  // Recovery windowing (see metrics/recovery_metrics.h). window == 0
-  // auto-scales to lookups/8, clamped to [8, 50].
-  size_t recovery_window = 0;
+  // Recovery dip threshold (see metrics/recovery_metrics.h). The
+  // success-rate window auto-scales to lookups/8, clamped to [8, 50].
   double recovery_threshold = 0.9;
 };
 
@@ -88,7 +82,7 @@ struct ScenarioResult {
   std::string name;
   ScenarioOptions options;  // As resolved for the run.
   MessageSimReport report;
-  size_t crashed = 0;  // Churn + regional + fault-plan crashes.
+  size_t crashed = 0;  // Churn + fault-plan crashes.
   size_t joined = 0;
   uint64_t events_dispatched = 0;
   SimTime end_ms = 0.0;

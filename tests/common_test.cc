@@ -81,14 +81,61 @@ TEST(StringUtilTest, ParseDoubleIsStrictAndFinite) {
   EXPECT_EQ(v, 7.0);  // Untouched by every rejection.
 }
 
-TEST(StringUtilTest, FlagValueSplitsOnlyItsOwnFlag) {
+TEST(StringUtilTest, TakeFlagReadsTheEqualsForm) {
+  const std::vector<std::string> args = {"--hop-ms=2.5", "--hop-ms="};
   std::string value;
-  EXPECT_TRUE(FlagValue("--hop-ms=2.5", "--hop-ms", &value));
+  size_t i = 0;
+  EXPECT_TRUE(TakeFlag(args, &i, "--hop-ms", &value));
   EXPECT_EQ(value, "2.5");
-  EXPECT_TRUE(FlagValue("--hop-ms=", "--hop-ms", &value));
+  EXPECT_EQ(i, 0u);  // The value rode in the same argument.
+  i = 1;
+  EXPECT_TRUE(TakeFlag(args, &i, "--hop-ms", &value));
   EXPECT_EQ(value, "");
-  EXPECT_FALSE(FlagValue("--hop-ms", "--hop-ms", &value));
-  EXPECT_FALSE(FlagValue("--hop-msx=1", "--hop-ms", &value));
+  EXPECT_EQ(i, 1u);
+}
+
+TEST(StringUtilTest, TakeFlagReadsTheSpaceFormAndAdvancesPastIt) {
+  const std::vector<std::string> args = {"--hop-ms", "2.5", "--csv"};
+  std::string value;
+  size_t i = 0;
+  EXPECT_TRUE(TakeFlag(args, &i, "--hop-ms", &value));
+  EXPECT_EQ(value, "2.5");
+  EXPECT_EQ(i, 1u);  // The caller's ++i lands on "--csv".
+  // The next argument is taken verbatim, even when it looks like a flag.
+  const std::vector<std::string> dashed = {"--trace-file", "--csv"};
+  i = 0;
+  EXPECT_TRUE(TakeFlag(dashed, &i, "--trace-file", &value));
+  EXPECT_EQ(value, "--csv");
+  EXPECT_EQ(i, 1u);
+}
+
+TEST(StringUtilTest, TakeFlagAtTheEndReadsAnEmptyValue) {
+  const std::vector<std::string> args = {"--csv", "--hop-ms"};
+  std::string value = "stale";
+  size_t i = 1;
+  EXPECT_TRUE(TakeFlag(args, &i, "--hop-ms", &value));
+  EXPECT_EQ(value, "");
+  EXPECT_EQ(i, 1u);
+}
+
+TEST(StringUtilTest, TakeFlagMatchesOnlyItsOwnFlag) {
+  const std::vector<std::string> args = {"--hop-msx=1", "--hop-msx", "2",
+                                         "--hop", "-hop-ms=1", "hop-ms"};
+  std::string value = "untouched";
+  for (size_t start = 0; start < args.size(); ++start) {
+    size_t i = start;
+    EXPECT_FALSE(TakeFlag(args, &i, "--hop-ms", &value)) << args[start];
+    EXPECT_EQ(i, start);
+  }
+  EXPECT_EQ(value, "untouched");
+}
+
+TEST(StringUtilTest, SplitCommaListDropsEmptyItems) {
+  EXPECT_EQ(SplitCommaList("a,b"), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(SplitCommaList(",a,,b,"),
+            (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(SplitCommaList("").empty());
+  EXPECT_TRUE(SplitCommaList(",,").empty());
 }
 
 TEST(StatsTest, RunningStats) {

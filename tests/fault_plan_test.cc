@@ -72,6 +72,22 @@ TEST(FaultPlanParseTest, RejectsMalformedSpecs) {
   }
 }
 
+TEST(FaultPlanParseTest, RejectsNonFiniteAndSpaceLedNumbers) {
+  // Every number goes through the CLIs' strict ParseDouble: a bare
+  // strtod would take nan/inf (a crash at t=nan, a NaN severity) and a
+  // leading space.
+  const char* bad[] = {
+      "crash@nan:0.1,0.1",
+      "crash@inf:0.1,0.1",
+      "slow@10+50:0.1,0.2,nan",
+      "partition@10+50:0.1,0.2,0.5,0.2,nan",
+      "crash@ 5:0.1,0.1",
+  };
+  for (const char* spec : bad) {
+    EXPECT_FALSE(ParseFaultPlan(spec).ok()) << spec;
+  }
+}
+
 // ------------------------------------------------------- fault switchboard
 
 TEST(FaultStateTest, RegionMembershipWrapsTheRing) {

@@ -18,6 +18,8 @@
 //                                        sets the sample cadence)
 //   oscar_serve --list-policies          print the admission catalog
 //
+// Value flags take `--flag=value` or `--flag value` (TakeFlag).
+//
 // Topology scale and seed come from the usual env knobs
 // (OSCAR_BENCH_SCALE/SIZE/SEED); the route-phase worker count from
 // OSCAR_THREADS. stdout is byte-identical across runs AND across
@@ -28,9 +30,7 @@
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,8 +42,7 @@
 #include "serve/admission.h"
 #include "serve/load_generator.h"
 #include "sim/scenario.h"
-#include "trace/columnar_trace.h"
-#include "trace/trace.h"
+#include "trace/trace_file.h"
 
 namespace oscar {
 namespace {
@@ -59,7 +58,7 @@ void PrintUsage(std::ostream& out) {
          "policies:";
   for (const std::string& name : AdmissionCatalog()) out << " " << name;
   out << "\nrates are offered lookups/s; 0 disables rate limiting "
-         "(burst at t=0)\n";
+         "(burst at t=0)\nvalue flags take --flag=V or --flag V\n";
 }
 
 /// Flag-parse rejection: one diagnostic plus the usage text, exit 2.
@@ -67,19 +66,6 @@ int RejectUsage(const std::string& message) {
   std::cerr << "oscar_serve: " << message << "\n";
   PrintUsage(std::cerr);
   return 2;
-}
-
-std::vector<std::string> SplitCommaList(const std::string& list) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= list.size()) {
-    const size_t comma = list.find(',', start);
-    const size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > start) out.push_back(list.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
 }
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -178,61 +164,61 @@ int RunCli(const std::vector<std::string>& args) {
       return 0;
     } else if (arg == "--list-policies") {
       list_policies = true;
-    } else if (FlagValue(arg, "--lookups", &value)) {
+    } else if (TakeFlag(args, &i, "--lookups", &value)) {
       if (!ParseUint(value, &number) || number == 0) {
         return RejectUsage(StrCat("--lookups wants a positive integer, "
                                   "got '", value, "'"));
       }
       serve.lookups = static_cast<size_t>(number);
-    } else if (FlagValue(arg, "--concurrency", &value)) {
+    } else if (TakeFlag(args, &i, "--concurrency", &value)) {
       if (!ParseUint(value, &number) || number == 0) {
         return RejectUsage(StrCat("--concurrency wants a positive "
                                   "integer, got '", value, "'"));
       }
       serve.concurrency = static_cast<size_t>(number);
-    } else if (FlagValue(arg, "--hot-keys", &value)) {
+    } else if (TakeFlag(args, &i, "--hot-keys", &value)) {
       if (!ParseUint(value, &number)) {
         return RejectUsage(StrCat("--hot-keys wants a non-negative "
                                   "integer, got '", value, "'"));
       }
       serve.hot_keys = static_cast<size_t>(number);
-    } else if (FlagValue(arg, "--queue-cap", &value)) {
+    } else if (TakeFlag(args, &i, "--queue-cap", &value)) {
       if (!ParseUint(value, &number) || number == 0) {
         return RejectUsage(StrCat("--queue-cap wants a positive integer, "
                                   "got '", value, "'"));
       }
       serve.admission.queue_capacity = static_cast<size_t>(number);
-    } else if (FlagValue(arg, "--peer-cap", &value)) {
+    } else if (TakeFlag(args, &i, "--peer-cap", &value)) {
       if (!ParseUint(value, &number) || number == 0) {
         return RejectUsage(StrCat("--peer-cap wants a positive integer, "
                                   "got '", value, "'"));
       }
       serve.admission.per_peer_cap = static_cast<size_t>(number);
-    } else if (FlagValue(arg, "--burst", &value)) {
+    } else if (TakeFlag(args, &i, "--burst", &value)) {
       if (!ParseDouble(value, &real) || real <= 0.0) {
         return RejectUsage(StrCat("--burst wants a positive number, "
                                   "got '", value, "'"));
       }
       serve.burst = real;
-    } else if (FlagValue(arg, "--hop-ms", &value)) {
+    } else if (TakeFlag(args, &i, "--hop-ms", &value)) {
       if (!ParseDouble(value, &real) || real <= 0.0) {
         return RejectUsage(StrCat("--hop-ms wants a positive number, "
                                   "got '", value, "'"));
       }
       serve.hop_ms = real;
-    } else if (FlagValue(arg, "--zipf", &value)) {
+    } else if (TakeFlag(args, &i, "--zipf", &value)) {
       if (!ParseDouble(value, &real) || real <= 0.0) {
         return RejectUsage(StrCat("--zipf wants a positive exponent, "
                                   "got '", value, "'"));
       }
       serve.zipf_exponent = real;
-    } else if (FlagValue(arg, "--timeout-ms", &value)) {
+    } else if (TakeFlag(args, &i, "--timeout-ms", &value)) {
       if (!ParseDouble(value, &real) || real <= 0.0) {
         return RejectUsage(StrCat("--timeout-ms wants a positive number, "
                                   "got '", value, "'"));
       }
       serve.admission.timeout_ms = real;
-    } else if (FlagValue(arg, "--rates", &value)) {
+    } else if (TakeFlag(args, &i, "--rates", &value)) {
       std::vector<std::string> parts = SplitCommaList(value);
       if (parts.empty()) {
         return RejectUsage("--rates got an empty list");
@@ -245,7 +231,7 @@ int RunCli(const std::vector<std::string>& args) {
         }
         serve.offered_rates_per_s.push_back(real);
       }
-    } else if (FlagValue(arg, "--trace-file", &value)) {
+    } else if (TakeFlag(args, &i, "--trace-file", &value)) {
       if (!trace_path.empty()) {
         return RejectUsage("duplicate --trace-file (one trace per run)");
       }
@@ -253,27 +239,26 @@ int RunCli(const std::vector<std::string>& args) {
         return RejectUsage("--trace-file requires a path");
       }
       trace_path = value;
-    } else if (FlagValue(arg, "--trace-format", &value)) {
-      if (value != "csv" && value != "otrace") {
+    } else if (TakeFlag(args, &i, "--trace-format", &value)) {
+      if (!TraceFile::IsFormat(value)) {
         return RejectUsage(StrCat("--trace-format wants csv or otrace, "
                                   "got '", value, "'"));
       }
       trace_format = value;
-    } else if (FlagValue(arg, "--queue-cadence-ms", &value)) {
+    } else if (TakeFlag(args, &i, "--queue-cadence-ms", &value)) {
       if (!ParseDouble(value, &real) || real < 0.0) {
         return RejectUsage(StrCat("--queue-cadence-ms wants a non-negative "
                                   "number, got '", value, "'"));
       }
       serve.trace_cadence_ms = real;
-    } else if (FlagValue(arg, "--policies", &value)) {
+    } else if (TakeFlag(args, &i, "--policies", &value)) {
       std::vector<std::string> parts = SplitCommaList(value);
       if (parts.empty()) {
         return RejectUsage("--policies got an empty list");
       }
       serve.policies = std::move(parts);
     } else {
-      // Everything else — unknown flags, bare `--rates` (the = form is
-      // mandatory for value flags), and positional words — is a
+      // Everything else — unknown flags and positional words — is a
       // rejection: this CLI takes no positional arguments.
       return RejectUsage(StrCat("unknown argument: '", arg, "'"));
     }
@@ -292,39 +277,13 @@ int RunCli(const std::vector<std::string>& args) {
       return RejectUsage(probe.status().message());
     }
   }
-  if (!trace_format.empty() && trace_path.empty()) {
-    return RejectUsage("--trace-format needs --trace-file");
-  }
 
-  // Sink selection mirrors oscar_sim: `.otrace` extension = binary
-  // columnar writer, anything else CSV; --trace-format overrides.
-  std::ofstream trace_file;
-  std::unique_ptr<TraceSink> trace_sink;
-  ColumnarTraceWriter* columnar = nullptr;
-  if (!trace_path.empty()) {
-    const std::string ext = ".otrace";
-    const bool by_ext =
-        trace_path.size() >= ext.size() &&
-        trace_path.compare(trace_path.size() - ext.size(), ext.size(),
-                           ext) == 0;
-    const bool binary =
-        trace_format.empty() ? by_ext : trace_format == "otrace";
-    trace_file.open(trace_path, binary ? std::ios::binary | std::ios::out
-                                       : std::ios::out);
-    if (!trace_file) {
-      std::cerr << "oscar_serve: cannot open trace file: " << trace_path
-                << "\n";
-      return 2;
-    }
-    if (binary) {
-      auto writer = std::make_unique<ColumnarTraceWriter>(&trace_file);
-      columnar = writer.get();
-      trace_sink = std::move(writer);
-    } else {
-      trace_sink = std::make_unique<CsvTraceSink>(&trace_file);
-    }
-    serve.trace = trace_sink.get();
+  TraceFile trace;
+  if (const Status opened = trace.Open(trace_path, trace_format);
+      !opened.ok()) {
+    return RejectUsage(opened.message());
   }
+  serve.trace = trace.sink();
 
   const ExperimentScale scale = ScaleFromEnv();
   ScenarioOptions base;
@@ -353,17 +312,9 @@ int RunCli(const std::vector<std::string>& args) {
   const double serve_s = SecondsSince(serve_start);
   const ServeReport& report = run.value();
 
-  if (trace_sink != nullptr) {
-    if (columnar != nullptr) {
-      columnar->Close();
-    } else {
-      trace_sink->Flush();
-    }
-    if (!trace_file) {
-      std::cerr << "oscar_serve: error writing trace file: " << trace_path
-                << "\n";
-      return 2;
-    }
+  if (const Status closed = trace.Close(); !closed.ok()) {
+    std::cerr << "oscar_serve: trace: " << closed.message() << "\n";
+    return 2;
   }
 
   PrintTables(report);

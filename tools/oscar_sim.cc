@@ -2,7 +2,8 @@
 //
 //   oscar_sim                     run every cataloged scenario
 //   oscar_sim flash-crowd ...     run the named scenario(s)
-//   oscar_sim --scenarios a,b,c   same, comma-separated
+//   oscar_sim --scenarios a,b,c   same, comma-separated (repeats
+//                                 accumulate, like bare names)
 //   oscar_sim --list              print the catalog
 //   oscar_sim --trace-file F      stream the event trace; a `.otrace`
 //                                 extension selects the binary columnar
@@ -32,6 +33,8 @@
 // time split is reported on stderr (stdout stays byte-identical across
 // runs with identical knobs; only stderr carries timing).
 //
+// Value flags take `--flag=value` or `--flag value` (TakeFlag).
+//
 // Scale and seed come from the same environment knobs the bench
 // harnesses use (see ScaleFromEnv): OSCAR_BENCH_SCALE=small|paper,
 // OSCAR_BENCH_SIZE, OSCAR_BENCH_QUERIES (lookups), OSCAR_BENCH_SEED.
@@ -42,9 +45,7 @@
 // infrastructure error (unknown scenario, experiment Status error).
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,8 +54,7 @@
 #include "common/table_printer.h"
 #include "core/experiments.h"
 #include "sim/scenario.h"
-#include "trace/columnar_trace.h"
-#include "trace/trace.h"
+#include "trace/trace_file.h"
 
 namespace oscar {
 namespace {
@@ -69,36 +69,17 @@ void PrintBanner(const ExperimentScale& scale) {
             << "###############################################\n";
 }
 
-std::vector<std::string> SplitCommaList(const std::string& list) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= list.size()) {
-    const size_t comma = list.find(',', start);
-    const size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > start) out.push_back(list.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 void PrintUsage(std::ostream& out) {
   out << "usage: oscar_sim [--list] [--cross-check] "
          "[--scenarios a,b,c] [--trace-file out.otrace|out.csv] "
          "[--trace-format csv|otrace] [--queue-cadence-ms N] "
          "[--maintenance-cadence-ms N] [--fault-plan SPEC] "
-         "[scenario ...]\nscenarios:";
+         "[scenario ...]\nvalue flags take --flag V or --flag=V\n"
+         "scenarios:";
   for (const std::string& name : ScenarioCatalog()) {
     out << " " << name;
   }
   out << "\n";
-}
-
-/// True when `path` ends in the binary columnar extension.
-bool HasOtraceExtension(const std::string& path) {
-  const std::string ext = ".otrace";
-  return path.size() >= ext.size() &&
-         path.compare(path.size() - ext.size(), ext.size(), ext) == 0;
 }
 
 /// Flag-parse rejection: one diagnostic plus the usage line, exit 2
@@ -133,100 +114,46 @@ int RunCli(const std::vector<std::string>& args) {
   std::vector<std::string> names;
   for (size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
+    std::string value;
+    double real = 0.0;
     if (arg == "--list") {
       list = true;
     } else if (arg == "--cross-check") {
       cross_check = true;
-    } else if (arg == "--scenarios" || arg.rfind("--scenarios=", 0) == 0) {
-      // Repeats accumulate (like listing the names bare); an empty
-      // value — separate or trailing `=` — is always a rejection.
-      std::string raw_list;
-      if (arg == "--scenarios") {
-        if (i + 1 >= args.size()) {
-          return RejectUsage("--scenarios requires a comma-separated list");
-        }
-        raw_list = args[++i];
-      } else {
-        raw_list = arg.substr(sizeof("--scenarios=") - 1);
-      }
-      std::vector<std::string> parsed = SplitCommaList(raw_list);
+    } else if (TakeFlag(args, &i, "--scenarios", &value)) {
+      // Repeats accumulate (like listing the names bare).
+      std::vector<std::string> parsed = SplitCommaList(value);
       if (parsed.empty()) {
         return RejectUsage("--scenarios got an empty list");
       }
       for (std::string& name : parsed) names.push_back(std::move(name));
-    } else if (arg == "--trace-file" || arg.rfind("--trace-file=", 0) == 0) {
+    } else if (TakeFlag(args, &i, "--trace-file", &value)) {
       if (!trace_path.empty()) {
         return RejectUsage("duplicate --trace-file (one trace per run)");
       }
-      if (arg == "--trace-file") {
-        if (i + 1 >= args.size()) {
-          return RejectUsage("--trace-file requires a path");
-        }
-        trace_path = args[++i];
-      } else {
-        trace_path = arg.substr(sizeof("--trace-file=") - 1);
-      }
-      if (trace_path.empty()) {
+      if (value.empty()) {
         return RejectUsage("--trace-file requires a path");
       }
-    } else if (arg == "--trace-format" ||
-               arg.rfind("--trace-format=", 0) == 0) {
-      if (arg == "--trace-format") {
-        if (i + 1 >= args.size()) {
-          return RejectUsage("--trace-format requires csv or otrace");
-        }
-        trace_format = args[++i];
-      } else {
-        trace_format = arg.substr(sizeof("--trace-format=") - 1);
-      }
-      if (trace_format != "csv" && trace_format != "otrace") {
+      trace_path = value;
+    } else if (TakeFlag(args, &i, "--trace-format", &value)) {
+      if (!TraceFile::IsFormat(value)) {
         return RejectUsage(StrCat("--trace-format wants csv or otrace, "
-                                  "got '", trace_format, "'"));
+                                  "got '", value, "'"));
       }
-    } else if (arg == "--queue-cadence-ms" ||
-               arg.rfind("--queue-cadence-ms=", 0) == 0) {
-      std::string value;
-      if (arg == "--queue-cadence-ms") {
-        if (i + 1 >= args.size()) {
-          return RejectUsage("--queue-cadence-ms requires a value");
-        }
-        value = args[++i];
-      } else {
-        value = arg.substr(sizeof("--queue-cadence-ms=") - 1);
-      }
-      double parsed = 0.0;
-      if (!ParseDouble(value, &parsed) || parsed < 0.0) {
+      trace_format = value;
+    } else if (TakeFlag(args, &i, "--queue-cadence-ms", &value)) {
+      if (!ParseDouble(value, &real) || real < 0.0) {
         return RejectUsage(StrCat("--queue-cadence-ms wants a non-negative "
                                   "number, got '", value, "'"));
       }
-      queue_cadence_ms = parsed;
-    } else if (arg == "--maintenance-cadence-ms" ||
-               arg.rfind("--maintenance-cadence-ms=", 0) == 0) {
-      std::string value;
-      if (arg == "--maintenance-cadence-ms") {
-        if (i + 1 >= args.size()) {
-          return RejectUsage("--maintenance-cadence-ms requires a value");
-        }
-        value = args[++i];
-      } else {
-        value = arg.substr(sizeof("--maintenance-cadence-ms=") - 1);
-      }
-      double parsed = 0.0;
-      if (!ParseDouble(value, &parsed) || parsed < 0.0) {
+      queue_cadence_ms = real;
+    } else if (TakeFlag(args, &i, "--maintenance-cadence-ms", &value)) {
+      if (!ParseDouble(value, &real) || real < 0.0) {
         return RejectUsage(StrCat("--maintenance-cadence-ms wants a "
                                   "non-negative number, got '", value, "'"));
       }
-      maintenance_cadence_ms = parsed;
-    } else if (arg == "--fault-plan" || arg.rfind("--fault-plan=", 0) == 0) {
-      std::string value;
-      if (arg == "--fault-plan") {
-        if (i + 1 >= args.size()) {
-          return RejectUsage("--fault-plan requires a spec");
-        }
-        value = args[++i];
-      } else {
-        value = arg.substr(sizeof("--fault-plan=") - 1);
-      }
+      maintenance_cadence_ms = real;
+    } else if (TakeFlag(args, &i, "--fault-plan", &value)) {
       auto parsed = ParseFaultPlan(value);
       if (!parsed.ok()) {
         return RejectUsage(parsed.status().message());
@@ -272,33 +199,10 @@ int RunCli(const std::vector<std::string>& args) {
     }
   }
 
-  if (!trace_format.empty() && trace_path.empty()) {
-    return RejectUsage("--trace-format needs --trace-file");
-  }
-  // Sink selection: the `.otrace` extension picks the binary columnar
-  // writer, anything else the CSV adapter; --trace-format overrides.
-  std::ofstream trace_file;
-  std::unique_ptr<TraceSink> trace_sink;
-  ColumnarTraceWriter* columnar = nullptr;
-  if (!trace_path.empty()) {
-    const bool binary = trace_format.empty()
-                            ? HasOtraceExtension(trace_path)
-                            : trace_format == "otrace";
-    trace_file.open(trace_path,
-                    binary ? std::ios::binary | std::ios::out
-                           : std::ios::out);
-    if (!trace_file) {
-      std::cerr << "oscar_sim: cannot open trace file: " << trace_path
-                << "\n";
-      return 2;
-    }
-    if (binary) {
-      auto writer = std::make_unique<ColumnarTraceWriter>(&trace_file);
-      columnar = writer.get();
-      trace_sink = std::move(writer);
-    } else {
-      trace_sink = std::make_unique<CsvTraceSink>(&trace_file);
-    }
+  TraceFile trace;
+  if (const Status opened = trace.Open(trace_path, trace_format);
+      !opened.ok()) {
+    return RejectUsage(opened.message());
   }
 
   // One grow per (seed, size, overlay), shared by the cross-check and
@@ -349,9 +253,9 @@ int RunCli(const std::vector<std::string>& args) {
   Network scratch;
   for (const std::string& name : names) {
     ScenarioOptions options = base;
-    if (trace_sink != nullptr) {
-      trace_sink->SetScope(trace_sink->Intern(name));
-      options.sim.sink = trace_sink.get();
+    if (TraceSink* sink = trace.sink(); sink != nullptr) {
+      sink->SetScope(sink->Intern(name));
+      options.sim.sink = sink;
       options.sim.queue_depth_cadence_ms = queue_cadence_ms;
     }
     auto run = RunScenarioOn(name, options, grown.value(), &scratch);
@@ -421,14 +325,9 @@ int RunCli(const std::vector<std::string>& args) {
     }
   }
   const double run_s = SecondsSince(run_start);
-  if (trace_sink != nullptr) {
-    // The columnar writer frames an end record; both sinks flush.
-    const Status closed =
-        columnar != nullptr ? columnar->Close() : trace_sink->Flush();
-    if (!closed.ok()) {
-      std::cerr << "oscar_sim: trace: " << closed.message() << "\n";
-      return 2;
-    }
+  if (const Status closed = trace.Close(); !closed.ok()) {
+    std::cerr << "oscar_sim: trace: " << closed.message() << "\n";
+    return 2;
   }
   table.Print(std::cout);
   if (any_recovery) recovery_table.Print(std::cout);

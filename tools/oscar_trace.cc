@@ -15,6 +15,8 @@
 //                                         heatmap resolution
 //   oscar_trace run.otrace --no-heatmap   summaries only
 //
+// Value flags take `--flag=value` or `--flag value` (TakeFlag).
+//
 // Exit codes: 0 on success, 2 on flag-parse errors or an unreadable /
 // corrupt trace file.
 
@@ -39,7 +41,8 @@ void PrintUsage(std::ostream& out) {
   out << "usage: oscar_trace FILE.otrace [--csv] [--no-heatmap]\n"
          "                   [--time-buckets=N] [--peer-buckets=N]\n"
          "modes: default = per-scope summaries + heatmap; --csv = decode\n"
-         "to the t_ms,scenario,event,... CSV rows on stdout\n";
+         "to the t_ms,scenario,event,... CSV rows on stdout\n"
+         "value flags take --flag=N or --flag N\n";
 }
 
 int RejectUsage(const std::string& message) {
@@ -256,7 +259,8 @@ int RunCli(const std::vector<std::string>& args) {
   uint64_t time_buckets = 72;
   uint64_t peer_buckets = 16;
 
-  for (const std::string& arg : args) {
+  for (size_t i = 0; i < args.size(); ++i) {
+    const std::string& arg = args[i];
     std::string value;
     if (arg == "--help" || arg == "-h") {
       PrintUsage(std::cout);
@@ -265,13 +269,13 @@ int RunCli(const std::vector<std::string>& args) {
       csv = true;
     } else if (arg == "--no-heatmap") {
       heatmap = false;
-    } else if (FlagValue(arg, "--time-buckets", &value)) {
+    } else if (TakeFlag(args, &i, "--time-buckets", &value)) {
       if (!ParseUint(value, &time_buckets) || time_buckets == 0 ||
           time_buckets > 512) {
         return RejectUsage(StrCat("--time-buckets wants 1..512, got '",
                                   value, "'"));
       }
-    } else if (FlagValue(arg, "--peer-buckets", &value)) {
+    } else if (TakeFlag(args, &i, "--peer-buckets", &value)) {
       if (!ParseUint(value, &peer_buckets) || peer_buckets == 0 ||
           peer_buckets > 256) {
         return RejectUsage(StrCat("--peer-buckets wants 1..256, got '",
