@@ -79,23 +79,6 @@ std::vector<PeerId> Network::AlivePeers() const {
   return out;
 }
 
-std::optional<PeerId> Network::RingNeighbor(PeerId id, bool clockwise) const {
-  if (!alive_[id] || ring_.size() < 2) return std::nullopt;
-  const auto index = ring_.IndexOf(keys_[id], id);
-  if (!index.has_value()) return std::nullopt;
-  const size_t n = ring_.size();
-  const size_t next = clockwise ? (*index + 1) % n : (*index + n - 1) % n;
-  return ring_.at(next).id;
-}
-
-std::optional<PeerId> Network::SuccessorOf(PeerId id) const {
-  return RingNeighbor(id, /*clockwise=*/true);
-}
-
-std::optional<PeerId> Network::PredecessorOf(PeerId id) const {
-  return RingNeighbor(id, /*clockwise=*/false);
-}
-
 bool Network::AddLongLink(PeerId from, PeerId to) {
   if (from == to) return false;
   if (!alive_[from] || !alive_[to]) return false;
@@ -265,7 +248,7 @@ Status Network::CheckInvariants() const {
     }
   }
   // Ring <-> peer table agreement: sorted (key, id) order, exactly the
-  // alive peers, each with its table key.
+  // alive peers, each with its table key and its position index entry.
   if (ring_.size() != alive_total) {
     return Status::Error("ring size != alive peer count");
   }
@@ -285,8 +268,18 @@ Status Network::CheckInvariants() const {
       return Status::Error(PeerContext("peer on ring twice", entry.id));
     }
     on_ring[entry.id] = 1;
+    if (ring_.PosOf(entry.id) != pos) {
+      return Status::Error(
+          PeerContext("ring position does not point back", entry.id));
+    }
     if (pos > 0 && !(ring_.at(pos - 1) < entry)) {
       return Status::Error("ring entries out of (key, id) order");
+    }
+  }
+  for (PeerId id = 0; id < n; ++id) {
+    if (!alive_[id] && ring_.PosOf(id) != Ring::kNotOnRing) {
+      return Status::Error(
+          PeerContext("dead peer carries a ring position", id));
     }
   }
   return Status::Ok();

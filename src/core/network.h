@@ -122,8 +122,12 @@ class Network {
 
   /// Next/previous alive peer on the ring; nullopt when `id` is the only
   /// alive peer (or dead). For a 1-peer ring a peer has no neighbors.
-  std::optional<PeerId> SuccessorOf(PeerId id) const;
-  std::optional<PeerId> PredecessorOf(PeerId id) const;
+  std::optional<PeerId> SuccessorOf(PeerId id) const {
+    return ring_.Neighbor(id, /*clockwise=*/true);
+  }
+  std::optional<PeerId> PredecessorOf(PeerId id) const {
+    return ring_.Neighbor(id, /*clockwise=*/false);
+  }
 
   /// Adds a long link from -> to. Fails (returns false) on self-links,
   /// dead endpoints, duplicates, and when `to` is at its in-degree cap
@@ -171,7 +175,9 @@ class Network {
   /// holding no link state, in/out reciprocity between alive peers
   /// (every in-link entry backed by exactly one live out-link and vice
   /// versa), and ring <-> peer-table agreement (sorted, exactly the
-  /// alive peers, matching keys). Returns the first violation found;
+  /// alive peers, matching keys, the position index pointing back at
+  /// each entry and reading kNotOnRing for every dead peer). Returns
+  /// the first violation found;
   /// O(N + E * max_in) — checkpoint-granularity cost, not per-hop.
   Status CheckInvariants() const;
 
@@ -186,8 +192,6 @@ class Network {
   // mutation journal below to repair only the peers touched since the
   // last restore.
   friend class TopologySnapshot;
-
-  std::optional<PeerId> RingNeighbor(PeerId id, bool clockwise) const;
 
   /// Appends one row to every parallel array (no ring insert).
   PeerId AppendPeer(KeyId key, DegreeCaps caps);

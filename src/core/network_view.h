@@ -79,10 +79,10 @@ class NetworkView {
     return ring().OwnerOf(target);
   }
   std::optional<PeerId> SuccessorOf(PeerId id) const {
-    return net_ ? net_->SuccessorOf(id) : snap_->SuccessorOf(id);
+    return ring().Neighbor(id, /*clockwise=*/true);
   }
   std::optional<PeerId> PredecessorOf(PeerId id) const {
-    return net_ ? net_->PredecessorOf(id) : snap_->PredecessorOf(id);
+    return ring().Neighbor(id, /*clockwise=*/false);
   }
 
   /// Alive peers in ring (clockwise key) order — composed from the
@@ -122,20 +122,9 @@ struct NeighborRow {
   }
 };
 
-/// Ring position of `id`, or TopologySnapshot::kNotOnRing when dead:
-/// O(1) on a snapshot, one binary search on a live network.
-inline uint32_t RingPosOf(const TopologySnapshot& snap, PeerId id) {
-  return snap.ring_pos(id);
-}
-inline uint32_t RingPosOf(const Network& net, PeerId id) {
-  if (!net.alive(id)) return TopologySnapshot::kNotOnRing;
-  const auto index = net.ring().IndexOf(net.key(id), id);
-  return index.has_value() ? static_cast<uint32_t>(*index)
-                           : TopologySnapshot::kNotOnRing;
-}
-
 /// Builds `id`'s neighbor row over either backend from its ring
-/// position `pos` (RingPosOf(topo, id); the caller looks it up once so a
+/// position `pos` (topo.ring().PosOf(id), one O(1) read of the ring's
+/// position index on either backend; the caller looks it up once so a
 /// route step can reuse it for its ownership test). `with_in_links`
 /// adds the in-link span random walks need.
 template <typename Topo>
@@ -144,7 +133,7 @@ inline NeighborRow NeighborRowOf(const Topo& topo, PeerId id, uint32_t pos,
   NeighborRow row;
   const Ring& ring = topo.ring();
   const size_t n = ring.size();
-  if (n >= 2 && pos != TopologySnapshot::kNotOnRing) {
+  if (n >= 2 && pos != Ring::kNotOnRing) {
     const PeerId succ = ring.at((pos + 1) % n).id;
     const PeerId pred = ring.at((pos + n - 1) % n).id;
     row.ring[row.ring_count++] = succ;

@@ -66,25 +66,11 @@ TopologySnapshot::TopologySnapshot(const Network& net)
     in_edges_.insert(in_edges_.end(), in.begin(), in.end());
     push_offsets(out_edges_.size(), in_edges_.size());
   }
-  ring_pos_.assign(n, kNotOnRing);
-  for (size_t pos = 0; pos < ring_.size(); ++pos) {
-    ring_pos_[ring_.at(pos).id] = static_cast<uint32_t>(pos);
-  }
-}
-
-std::optional<PeerId> TopologySnapshot::RingNeighbor(PeerId id,
-                                                     bool clockwise) const {
-  if (!alive(id) || ring_.size() < 2) return std::nullopt;
-  const uint32_t pos = ring_pos_[id];
-  if (pos == kNotOnRing) return std::nullopt;
-  const size_t n = ring_.size();
-  const size_t next = clockwise ? (pos + 1) % n : (pos + n - 1) % n;
-  return ring_.at(next).id;
 }
 
 Status TopologySnapshot::Validate() const {
   const size_t n = keys_.size();
-  if (caps_.size() != n || alive_.size() != n || ring_pos_.size() != n) {
+  if (caps_.size() != n || alive_.size() != n) {
     return Status::Error("snapshot parallel arrays out of lockstep");
   }
   // Exactly one offset width is populated, matching `wide_`.
@@ -160,8 +146,8 @@ Status TopologySnapshot::Validate() const {
       }
     }
   }
-  // Ring and ring_pos_ agree with the peer table: exactly the alive
-  // peers, sorted, each position index pointing back at its entry.
+  // The ring and its position index agree with the peer table: exactly
+  // the alive peers, sorted, each position pointing back at its entry.
   if (ring_.size() != alive_total) {
     return Status::Error("ring size != alive peer count");
   }
@@ -171,7 +157,7 @@ Status TopologySnapshot::Validate() const {
         entry.key_raw != keys_[entry.id].raw) {
       return Status::Error("ring entry disagrees with peer table");
     }
-    if (ring_pos_[entry.id] != pos) {
+    if (ring_.PosOf(entry.id) != pos) {
       return Status::Error("ring_pos does not point back at ring entry");
     }
     if (pos > 0 && !(ring_.at(pos - 1) < entry)) {
@@ -179,7 +165,7 @@ Status TopologySnapshot::Validate() const {
     }
   }
   for (PeerId id = 0; id < n; ++id) {
-    if (!alive_[id] && ring_pos_[id] != kNotOnRing) {
+    if (!alive_[id] && ring_.PosOf(id) != Ring::kNotOnRing) {
       return Status::Error("dead peer carries a ring position");
     }
   }
@@ -223,7 +209,9 @@ Status TopologySnapshot::CheckRestoreIdentity(const Network& net) const {
                            std::to_string(id));
     }
   }
-  if (net.ring_.entries() != full.ring_.entries()) {
+  // The ring's position index as well as its entries: a delta restore
+  // that left a stale position would misroute every step it reads.
+  if (!(net.ring_ == full.ring_)) {
     return Status::Error("restored ring diverges from full restore");
   }
   return Status::Ok();

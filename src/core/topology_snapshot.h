@@ -60,14 +60,13 @@ class TopologySnapshot {
 
   std::optional<PeerId> OwnerOf(KeyId key) const { return ring_.OwnerOf(key); }
 
-  /// Ring neighbors, identical semantics to Network::SuccessorOf /
-  /// PredecessorOf but O(1): the ring position of every alive peer is
-  /// precomputed at freeze time.
+  /// Ring neighbors, read through the frozen ring's position index
+  /// exactly as Network::SuccessorOf / PredecessorOf read the live one.
   std::optional<PeerId> SuccessorOf(PeerId id) const {
-    return RingNeighbor(id, /*clockwise=*/true);
+    return ring_.Neighbor(id, /*clockwise=*/true);
   }
   std::optional<PeerId> PredecessorOf(PeerId id) const {
-    return RingNeighbor(id, /*clockwise=*/false);
+    return ring_.Neighbor(id, /*clockwise=*/false);
   }
 
   /// Materializes a mutable Network structurally identical to the one
@@ -87,10 +86,6 @@ class TopologySnapshot {
   /// replays skip rebuilding the untouched bulk of the peer table.
   void RestoreInto(Network* net) const;
 
-  /// Ring position of `id`, or kNotOnRing when dead — the O(1) index
-  /// behind SuccessorOf/PredecessorOf, precomputed at freeze time.
-  static constexpr uint32_t kNotOnRing = UINT32_MAX;
-  uint32_t ring_pos(PeerId id) const { return ring_pos_[id]; }
   /// True when the edge totals crossed the promotion threshold and this
   /// snapshot stores 64-bit offsets.
   bool wide_offsets() const { return wide_; }
@@ -104,9 +99,9 @@ class TopologySnapshot {
   /// layer (common/audit.h): CSR offsets monotone and closed by the
   /// edge totals, exactly one offset width populated per `wide_`, row
   /// lengths within the declared caps, in-edges only from alive
-  /// holders, out->in reciprocity between alive endpoints, and
-  /// ring/ring_pos_ agreement with the peer table. Returns the first
-  /// violation found.
+  /// holders, out->in reciprocity between alive endpoints, and the
+  /// ring and its position index agreeing with the peer table. Returns
+  /// the first violation found.
   Status Validate() const;
 
   /// Delta-restore identity audit: verifies `net` (typically produced
@@ -120,7 +115,6 @@ class TopologySnapshot {
   // audit_test corrupts private state to prove Validate() detects each
   // violation class (no public path builds an invalid snapshot).
   friend struct TopologySnapshotTestAccess;
-  std::optional<PeerId> RingNeighbor(PeerId id, bool clockwise) const;
 
   /// Dual-width CSR offset view: one predictable branch selects the
   /// 32-bit (default) or promoted 64-bit array. The branch is free next
@@ -154,8 +148,7 @@ class TopologySnapshot {
   std::vector<PeerId> out_edges_;
   std::vector<PeerId> in_edges_;
   bool wide_ = false;
-  // Position of each alive peer in ring order (kNotOnRing when dead).
-  std::vector<uint32_t> ring_pos_;
+  // The frozen ring, position index included: PosOf reads stay O(1).
   Ring ring_;
   // Identity for delta restores: RestoreInto() only trusts a network's
   // mutation journal when the network was last restored from a snapshot

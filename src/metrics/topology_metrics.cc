@@ -20,9 +20,9 @@ LinkGeometryReport ComputeLinkGeometry(NetworkView net) {
     const PeerId id = ring.at(index).id;
     for (PeerId target : net.OutLinks(id)) {
       if (!net.alive(target)) continue;
-      const auto target_index = ring.IndexOf(net.key(target), target);
-      if (!target_index.has_value()) continue;
-      const size_t rank = (*target_index + n - index) % n;
+      const uint32_t target_pos = ring.PosOf(target);
+      if (target_pos == Ring::kNotOnRing) continue;
+      const size_t rank = (target_pos + n - index) % n;
       if (rank == 0) continue;
       const size_t octave = static_cast<size_t>(
           std::floor(std::log2(static_cast<double>(rank))));

@@ -7,8 +7,8 @@ namespace oscar {
 Status KleinbergOverlay::BuildLinks(Network* net, PeerId id, Rng* rng) {
   const size_t n = net->alive_count();
   if (n < 3 || !net->alive(id)) return Status::Ok();
-  const auto index = net->ring().IndexOf(net->key(id), id);
-  if (!index.has_value()) return Status::Error("peer missing from ring");
+  const uint32_t pos = net->ring().PosOf(id);
+  if (pos == Ring::kNotOnRing) return Status::Error("peer missing from ring");
 
   const double log_span = std::log(static_cast<double>(n - 1));
   uint32_t budget = net->RemainingOutBudget(id);
@@ -20,7 +20,7 @@ Status KleinbergOverlay::BuildLinks(Network* net, PeerId id, Rng* rng) {
         n - 1, std::max<size_t>(
                    1, static_cast<size_t>(
                           std::exp(rng->NextDouble() * log_span))));
-    const PeerId target = net->ring().at((*index + rank) % n).id;
+    const PeerId target = net->ring().at((pos + rank) % n).id;
     if (net->AddLongLink(id, target)) --budget;
   }
   return Status::Ok();

@@ -24,7 +24,7 @@ void ResetResult(RouteResult* result, PeerId source) {
 /// nothing.
 template <typename Topo>
 bool OwnsTarget(const Topo& topo, uint32_t pos, KeyId target) {
-  return pos != TopologySnapshot::kNotOnRing &&
+  return pos != Ring::kNotOnRing &&
          topo.ring().OwnsAt(pos, target);
 }
 
@@ -47,7 +47,7 @@ template <typename Topo>
 RouteStep GreedyStepper::StepOn(const Topo& topo) {
   RouteStep step;
   step.from = current_;
-  const uint32_t pos = RingPosOf(topo, current_);
+  const uint32_t pos = topo.ring().PosOf(current_);
   if (OwnsTarget(topo, pos, target_)) {
     result_.success = true;
     result_.terminal = current_;
@@ -160,7 +160,7 @@ RouteStep BacktrackingStepper::StepOn(const Topo& topo) {
   RouteStep step;
   const PeerId current = stack_.back();
   step.from = current;
-  const uint32_t pos = RingPosOf(topo, current);
+  const uint32_t pos = topo.ring().PosOf(current);
   if (OwnsTarget(topo, pos, target_)) {
     result_.success = true;
     result_.terminal = current;

@@ -50,7 +50,7 @@ WalkOutcome Walk(const Topo& topo, PeerId origin, KeyId from, KeyId to,
   PeerId current = origin;
   if (options.visit_trace != nullptr) options.visit_trace->push_back(current);
   const uint32_t total_steps = options.burn_in + options.max_walk_steps;
-  NeighborRow row = NeighborRowOf(topo, current, RingPosOf(topo, current),
+  NeighborRow row = NeighborRowOf(topo, current, topo.ring().PosOf(current),
                                   /*with_in_links=*/true);
   size_t degree = CountAlive(topo, row);
   for (uint32_t step = 0; step < total_steps; ++step) {
@@ -64,7 +64,7 @@ WalkOutcome Walk(const Topo& topo, PeerId origin, KeyId from, KeyId to,
     const PeerId proposal = KthAlive(
         topo, row, static_cast<size_t>(rng->UniformInt(degree)));
     const NeighborRow proposal_row =
-        NeighborRowOf(topo, proposal, RingPosOf(topo, proposal),
+        NeighborRowOf(topo, proposal, topo.ring().PosOf(proposal),
                       /*with_in_links=*/true);
     const size_t proposal_degree = CountAlive(topo, proposal_row);
     ++out.steps;

@@ -14,8 +14,8 @@ template <typename Topo>
 uint64_t GapSpan(const Topo& topo, PeerId origin, uint32_t window) {
   const Ring& ring = topo.ring();
   const size_t n = ring.size();
-  const uint32_t start = RingPosOf(topo, origin);
-  if (n < 2 || start == TopologySnapshot::kNotOnRing) return 0;
+  const uint32_t start = topo.ring().PosOf(origin);
+  if (n < 2 || start == Ring::kNotOnRing) return 0;
   size_t pos = start;
   uint64_t span = 0;
   for (uint32_t i = 0; i < window; ++i) {

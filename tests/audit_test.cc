@@ -26,6 +26,12 @@ namespace oscar {
 
 // Backdoors into the audited classes' private state, friended by the
 // classes so corruption scenarios are constructible at all.
+struct RingTestAccess {
+  static void SetPos(Ring* ring, PeerId id, uint32_t pos) {
+    ring->pos_[id] = pos;
+  }
+};
+
 struct NetworkTestAccess {
   static void FlipAlive(Network* net, PeerId id) {
     net->alive_[id] = net->alive_[id] ? 0 : 1;
@@ -41,6 +47,9 @@ struct NetworkTestAccess {
   }
   static uint32_t out_count(const Network& net, PeerId id) {
     return net.out_count_[id];
+  }
+  static void SetRingPos(Network* net, PeerId id, uint32_t pos) {
+    RingTestAccess::SetPos(&net->ring_, id, pos);
   }
 };
 
@@ -60,7 +69,7 @@ struct TopologySnapshotTestAccess {
     }
   }
   static void CorruptRingPos(TopologySnapshot* snap, PeerId id) {
-    ++snap->ring_pos_[id];
+    RingTestAccess::SetPos(&snap->ring_, id, snap->ring_.PosOf(id) + 1);
   }
 };
 
@@ -204,6 +213,22 @@ TEST(NetworkInvariants, DetectRingKeyMismatch) {
   EXPECT_FALSE(net.CheckInvariants().ok());
 }
 
+TEST(NetworkInvariants, DetectRingPosDrift) {
+  Network net = LinkedNetwork(60, 43);
+  const PeerId victim = net.AlivePeers().front();
+  NetworkTestAccess::SetRingPos(&net, victim, net.ring().PosOf(victim) + 1);
+  EXPECT_FALSE(net.CheckInvariants().ok()) << "ring_pos drift";
+}
+
+TEST(NetworkInvariants, DetectDeadPeerRingPos) {
+  Network net = LinkedNetwork(60, 44);
+  const PeerId victim = net.AlivePeers().front();
+  net.Crash(victim);
+  ASSERT_TRUE(net.CheckInvariants().ok());
+  NetworkTestAccess::SetRingPos(&net, victim, 0);
+  EXPECT_FALSE(net.CheckInvariants().ok()) << "dead peer ring position";
+}
+
 TEST(SnapshotValidate, PassesOnHealthySnapshots) {
   for (uint64_t seed = 42; seed <= 45; ++seed) {
     Network net = LinkedNetwork(200, seed);
@@ -277,6 +302,17 @@ TEST(RestoreIdentity, DetectsDivergence) {
   snap.RestoreInto(&scratch);
   const PeerId victim = PeerWithLiveOutLink(scratch);
   NetworkTestAccess::SetOutSlabEntry(&scratch, victim, 0, victim);
+  EXPECT_FALSE(snap.CheckRestoreIdentity(scratch).ok());
+}
+
+TEST(RestoreIdentity, DetectsRingPosDivergence) {
+  Network net = LinkedNetwork(80, 43);
+  const TopologySnapshot snap(net);
+  Network scratch;
+  snap.RestoreInto(&scratch);
+  // Same entries, one stale position: the index is compared too.
+  const PeerId victim = scratch.AlivePeers().back();
+  NetworkTestAccess::SetRingPos(&scratch, victim, 0);
   EXPECT_FALSE(snap.CheckRestoreIdentity(scratch).ok());
 }
 

@@ -40,7 +40,7 @@ std::vector<PeerId> ToVector(PeerSpan span) {
 template <typename Topo>
 std::vector<PeerId> RowOf(const Topo& topo, PeerId id, bool with_in_links) {
   std::vector<PeerId> out;
-  NeighborRowOf(topo, id, RingPosOf(topo, id), with_in_links)
+  NeighborRowOf(topo, id, topo.ring().PosOf(id), with_in_links)
       .ForEach([&](PeerId n) { out.push_back(n); });
   return out;
 }
