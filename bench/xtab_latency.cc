@@ -63,7 +63,7 @@ int main() {
           return 2;
         }
       }
-      LatencyModel model(net, LatencyOptions{}, &rng);
+      const LatencyModel model(net);
       const LatencyEvaluation eval =
           churn > 0.0
               ? EvaluateLatency(net, BacktrackingRouter(), model,

@@ -167,6 +167,11 @@ oscar_trace)
   expect_reject "no arguments"
   expect_reject "no trace file"             --csv
   expect_reject "two trace files"           "${one}" "${one}"
+  # A 17-byte file whose one block declares 2^32 - 1 events: rejected
+  # as corrupt before the decoder sizes anything by that count.
+  forged="${workdir}/forged.otrace"
+  printf 'OTRC\x01\0\0\0B\0\0\0\0\xff\xff\xff\xff' > "${forged}"
+  expect_reject "block count past the file" "${forged}"
 
   expect_ok "summary of a one-event trace"  "${one}"
   expect_ok "--csv of a one-event trace"    "${one}" --csv

@@ -7,22 +7,12 @@
 namespace oscar {
 namespace {
 
-// 32 -> 64-bit promotion threshold for CSR offsets. Edge totals at or
-// below it store 32-bit offsets; above it the snapshot promotes to
-// 64-bit storage. Test-settable so the wide path can be exercised
-// without building 4 billion edges.
-std::atomic<uint64_t> g_wide_threshold{UINT32_MAX};
-
 uint64_t NextSnapshotToken() {
   static std::atomic<uint64_t> counter{0};
   return ++counter;
 }
 
 }  // namespace
-
-uint64_t TopologySnapshot::SetWideOffsetThresholdForTest(uint64_t threshold) {
-  return g_wide_threshold.exchange(threshold);
-}
 
 TopologySnapshot::TopologySnapshot(const Network& net)
     : keys_(net.keys_),
@@ -36,27 +26,12 @@ TopologySnapshot::TopologySnapshot(const Network& net)
     total_out += net.out_count_[id];
     total_in += net.in_count_[id];
   }
-  const uint64_t threshold = g_wide_threshold.load(std::memory_order_relaxed);
-  wide_ = total_out > threshold || total_in > threshold;
   out_edges_.reserve(total_out);
   in_edges_.reserve(total_in);
-  const auto push_offsets = [&](uint64_t out_off, uint64_t in_off) {
-    if (wide_) {
-      out_offsets64_.push_back(out_off);
-      in_offsets64_.push_back(in_off);
-    } else {
-      out_offsets32_.push_back(static_cast<uint32_t>(out_off));
-      in_offsets32_.push_back(static_cast<uint32_t>(in_off));
-    }
-  };
-  if (wide_) {
-    out_offsets64_.reserve(n + 1);
-    in_offsets64_.reserve(n + 1);
-  } else {
-    out_offsets32_.reserve(n + 1);
-    in_offsets32_.reserve(n + 1);
-  }
-  push_offsets(0, 0);
+  out_offsets_.reserve(n + 1);
+  in_offsets_.reserve(n + 1);
+  out_offsets_.push_back(0);
+  in_offsets_.push_back(0);
   for (PeerId id = 0; id < n; ++id) {
     // Pack each peer's live slab prefix; the unused slab tail (capacity
     // beyond count) is dropped — snapshots are exactly-sized.
@@ -64,7 +39,8 @@ TopologySnapshot::TopologySnapshot(const Network& net)
     out_edges_.insert(out_edges_.end(), out.begin(), out.end());
     const PeerSpan in = net.InLinks(id);
     in_edges_.insert(in_edges_.end(), in.begin(), in.end());
-    push_offsets(out_edges_.size(), in_edges_.size());
+    out_offsets_.push_back(out_edges_.size());
+    in_offsets_.push_back(in_edges_.size());
   }
 }
 
@@ -73,20 +49,11 @@ Status TopologySnapshot::Validate() const {
   if (caps_.size() != n || alive_.size() != n) {
     return Status::Error("snapshot parallel arrays out of lockstep");
   }
-  // Exactly one offset width is populated, matching `wide_`.
-  if (wide_) {
-    if (out_offsets64_.size() != n + 1 || in_offsets64_.size() != n + 1 ||
-        !out_offsets32_.empty() || !in_offsets32_.empty()) {
-      return Status::Error("wide snapshot carries 32-bit offsets");
-    }
-  } else {
-    if (out_offsets32_.size() != n + 1 || in_offsets32_.size() != n + 1 ||
-        !out_offsets64_.empty() || !in_offsets64_.empty()) {
-      return Status::Error("narrow snapshot carries 64-bit offsets");
-    }
+  if (out_offsets_.size() != n + 1 || in_offsets_.size() != n + 1) {
+    return Status::Error("CSR offsets not sized to the peer table");
   }
-  const CsrOffsets out_off = out_offsets();
-  const CsrOffsets in_off = in_offsets();
+  const std::vector<uint64_t>& out_off = out_offsets_;
+  const std::vector<uint64_t>& in_off = in_offsets_;
   if (out_off[0] != 0 || in_off[0] != 0) {
     return Status::Error("CSR offsets do not start at 0");
   }

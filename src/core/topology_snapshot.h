@@ -8,10 +8,8 @@
 // many crash/churn variants against one grown topology instead of
 // regrowing or deep-copying it.
 //
-// CSR offsets are 32-bit by default (cache-dense; every practical tier
-// fits) and promote to 64-bit storage when an edge total crosses
-// kWideOffsetThreshold — the guard that used to abort a >4B-edge build
-// now just widens the offsets instead.
+// CSR offsets are 64-bit, the width Network's slab bases use, so no
+// edge total can overflow them.
 
 #ifndef OSCAR_CORE_TOPOLOGY_SNAPSHOT_H_
 #define OSCAR_CORE_TOPOLOGY_SNAPSHOT_H_
@@ -46,16 +44,14 @@ class TopologySnapshot {
   /// them (possibly dangling to dead peers). In-links are the alive
   /// peers that held a link to `id` at freeze time.
   PeerSpan OutLinks(PeerId id) const {
-    const CsrOffsets offsets = out_offsets();
-    const uint64_t begin = offsets[id];
+    const uint64_t begin = out_offsets_[id];
     return {out_edges_.data() + begin,
-            static_cast<size_t>(offsets[id + 1] - begin)};
+            static_cast<size_t>(out_offsets_[id + 1] - begin)};
   }
   PeerSpan InLinks(PeerId id) const {
-    const CsrOffsets offsets = in_offsets();
-    const uint64_t begin = offsets[id];
+    const uint64_t begin = in_offsets_[id];
     return {in_edges_.data() + begin,
-            static_cast<size_t>(offsets[id + 1] - begin)};
+            static_cast<size_t>(in_offsets_[id + 1] - begin)};
   }
 
   std::optional<PeerId> OwnerOf(KeyId key) const { return ring_.OwnerOf(key); }
@@ -86,22 +82,16 @@ class TopologySnapshot {
   /// replays skip rebuilding the untouched bulk of the peer table.
   void RestoreInto(Network* net) const;
 
-  /// True when the edge totals crossed the promotion threshold and this
-  /// snapshot stores 64-bit offsets.
-  bool wide_offsets() const { return wide_; }
-
-  /// Test hook: lowers the 32 -> 64-bit promotion threshold so the wide
-  /// path can be exercised without materializing 4 billion edges.
-  /// Returns the previous value; pass UINT32_MAX to restore the default.
-  static uint64_t SetWideOffsetThresholdForTest(uint64_t threshold);
+  /// Whether CSR offsets are 64-bit: always, since there is one width.
+  bool wide_offsets() const { return true; }
 
   /// Deep structural self-check, the snapshot half of the OSCAR_AUDIT
-  /// layer (common/audit.h): CSR offsets monotone and closed by the
-  /// edge totals, exactly one offset width populated per `wide_`, row
-  /// lengths within the declared caps, in-edges only from alive
-  /// holders, out->in reciprocity between alive endpoints, and the
-  /// ring and its position index agreeing with the peer table. Returns
-  /// the first violation found.
+  /// layer (common/audit.h): CSR offsets sized to the peer table,
+  /// monotone and closed by the edge totals, row lengths within the
+  /// declared caps, in-edges only from alive holders, out->in
+  /// reciprocity between alive endpoints, and the ring and its position
+  /// index agreeing with the peer table. Returns the first violation
+  /// found.
   Status Validate() const;
 
   /// Delta-restore identity audit: verifies `net` (typically produced
@@ -116,38 +106,14 @@ class TopologySnapshot {
   // violation class (no public path builds an invalid snapshot).
   friend struct TopologySnapshotTestAccess;
 
-  /// Dual-width CSR offset view: one predictable branch selects the
-  /// 32-bit (default) or promoted 64-bit array. The branch is free next
-  /// to the cache miss on the edge row.
-  struct CsrOffsets {
-    const uint32_t* narrow = nullptr;
-    const uint64_t* wide = nullptr;
-    uint64_t operator[](size_t i) const {
-      return narrow != nullptr ? narrow[i] : wide[i];
-    }
-  };
-
-  CsrOffsets out_offsets() const {
-    return wide_ ? CsrOffsets{nullptr, out_offsets64_.data()}
-                 : CsrOffsets{out_offsets32_.data(), nullptr};
-  }
-  CsrOffsets in_offsets() const {
-    return wide_ ? CsrOffsets{nullptr, in_offsets64_.data()}
-                 : CsrOffsets{in_offsets32_.data(), nullptr};
-  }
-
   std::vector<KeyId> keys_;
   std::vector<DegreeCaps> caps_;
   std::vector<uint8_t> alive_;
-  // CSR link storage: row i spans [offsets[i], offsets[i + 1]). Exactly
-  // one of the 32/64-bit offset arrays is populated, per `wide_`.
-  std::vector<uint32_t> out_offsets32_;
-  std::vector<uint32_t> in_offsets32_;
-  std::vector<uint64_t> out_offsets64_;
-  std::vector<uint64_t> in_offsets64_;
+  // CSR link storage: row i spans [offsets[i], offsets[i + 1]).
+  std::vector<uint64_t> out_offsets_;
+  std::vector<uint64_t> in_offsets_;
   std::vector<PeerId> out_edges_;
   std::vector<PeerId> in_edges_;
-  bool wide_ = false;
   // The frozen ring, position index included: PosOf reads stay O(1).
   Ring ring_;
   // Identity for delta restores: RestoreInto() only trusts a network's

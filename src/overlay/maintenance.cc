@@ -13,30 +13,14 @@ Result<MaintenanceReport> Maintainer::RunRound(Network* net, Rng* rng) {
   }
   MaintenanceReport report;
   const uint64_t steps_before = overlay_->sampling_steps();
-  const uint64_t cap = options_.max_sampling_steps_per_round;
-  const auto spent = [&] { return overlay_->sampling_steps() - steps_before; };
 
   for (PeerId id : net->AlivePeers()) {
     // Lazy repair: drop links whose target died, top the budget back up.
-    // Pruning is free (no sampling) and therefore never capped.
     report.pruned_links += net->PruneDeadLinks(id);
-    if (options_.prune_only) continue;
-    // A blown budget parks the rest of the round at prune-only; the
-    // skipped peers keep their deficit and go first next round. Peers
-    // behind the cut also skip their proactive draw — the round is
-    // over, bandwidth-wise.
-    if (cap > 0 && spent() >= cap) {
-      report.budget_exhausted = true;
-      continue;
-    }
     if (net->RemainingOutBudget(id) > 0) {
       const Status status = overlay_->BuildLinks(net, id, rng);
       if (!status.ok()) return status;
       ++report.rebuilt_peers;
-    }
-    if (cap > 0 && spent() >= cap) {
-      report.budget_exhausted = true;
-      continue;
     }
     // Proactive refresh: a random subset rewires from scratch so stale
     // partitions (computed when N was different) get re-estimated.
@@ -47,7 +31,7 @@ Result<MaintenanceReport> Maintainer::RunRound(Network* net, Rng* rng) {
       ++report.refreshed_peers;
     }
   }
-  report.sampling_steps = spent();
+  report.sampling_steps = overlay_->sampling_steps() - steps_before;
   return report;
 }
 

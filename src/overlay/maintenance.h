@@ -15,14 +15,6 @@ struct MaintenanceOptions {
   /// Fraction of alive peers fully rewired (partitions recomputed from
   /// scratch) each round, on top of lazy dead-link repair.
   double proactive_fraction = 0.0;
-  /// Prune dead links but never rebuild: the cheapest repair tier —
-  /// zero sampling bandwidth, routing tables only ever shrink.
-  bool prune_only = false;
-  /// Per-round sampling-step cap (0 = unbounded). Once a round's link
-  /// building has spent this many sampling steps, the remaining peers
-  /// this round get pruning only; the report flags the exhaustion.
-  /// Pruning itself is always free and never capped.
-  uint64_t max_sampling_steps_per_round = 0;
 };
 
 struct MaintenanceReport {
@@ -30,9 +22,6 @@ struct MaintenanceReport {
   size_t pruned_links = 0;      // Dead links dropped by lazy repair.
   size_t rebuilt_peers = 0;     // Peers that rebuilt at least one link.
   size_t refreshed_peers = 0;   // Peers proactively rewired.
-  /// The sampling budget ran out mid-round; some peers were pruned but
-  /// not topped back up (they get another chance next round).
-  bool budget_exhausted = false;
 };
 
 class Maintainer {

@@ -5,24 +5,35 @@
 #include <optional>
 
 namespace oscar {
+namespace {
+
+/// The one harmonic draw loop of BuildLinks and PlanFrom: probes the
+/// owner of a key at harmonic key-space distance from `own_key` and
+/// offers it to `accept`, until `target` owners were accepted or
+/// 8 * target + 8 draws were spent. `n` is the alive peer count.
+template <typename Accept>
+void DrawHarmonic(const Ring& ring, size_t n, KeyId own_key, size_t target,
+                  Rng* rng, Accept accept) {
+  const double log_n = std::log(static_cast<double>(n));
+  const size_t max_attempts = 8 * target + 8;
+  size_t filled = 0;
+  for (size_t attempt = 0; filled < target && attempt < max_attempts;
+       ++attempt) {
+    // Harmonic over key-space distance [1/n, 1): d = e^{(U-1) ln n}.
+    const double distance = std::exp((rng->NextDouble() - 1.0) * log_n);
+    const auto owner = ring.SuccessorOfKey(own_key.OffsetBy(distance));
+    if (!owner.has_value()) break;
+    if (accept(*owner)) ++filled;
+  }
+}
+
+}  // namespace
 
 Status MercuryOverlay::BuildLinks(Network* net, PeerId id, Rng* rng) {
   const size_t n = net->alive_count();
   if (n < 3 || !net->alive(id)) return Status::Ok();
-  const KeyId own_key = net->key(id);
-  const double log_n = std::log(static_cast<double>(n));
-
-  uint32_t budget = net->RemainingOutBudget(id);
-  const uint32_t max_attempts = 8 * budget + 8;
-  for (uint32_t attempt = 0; budget > 0 && attempt < max_attempts;
-       ++attempt) {
-    // Harmonic over key-space distance [1/n, 1): d = e^{(U-1) ln n}.
-    const double distance = std::exp((rng->NextDouble() - 1.0) * log_n);
-    const KeyId probe = own_key.OffsetBy(distance);
-    const auto target = net->ring().SuccessorOfKey(probe);
-    if (!target.has_value()) break;
-    if (net->AddLongLink(id, *target)) --budget;
-  }
+  DrawHarmonic(net->ring(), n, net->key(id), net->RemainingOutBudget(id), rng,
+               [&](PeerId owner) { return net->AddLongLink(id, owner); });
   return Status::Ok();
 }
 
@@ -33,27 +44,21 @@ PeerLinkPlan MercuryOverlay::PlanFrom(NetworkView net, KeyId own_key,
   plan.budget = budget;
   const size_t n = net.alive_count();
   if (budget == 0 || n < 3) return plan;
-  const double log_n = std::log(static_cast<double>(n));
-  const size_t slots = static_cast<size_t>(budget) + kPlanBackupSlots;
-  const size_t max_attempts = 8 * slots + 8;
-  for (size_t attempt = 0;
-       plan.candidates.size() < slots && attempt < max_attempts;
-       ++attempt) {
-    // Harmonic over key-space distance [1/n, 1): d = e^{(U-1) ln n} —
-    // exactly BuildLinks' draw, emitting candidates instead of links.
-    const double distance = std::exp((rng->NextDouble() - 1.0) * log_n);
-    const KeyId probe = own_key.OffsetBy(distance);
-    const auto target = net.ring().SuccessorOfKey(probe);
-    if (!target.has_value()) break;
-    if (self.has_value() && *target == *self) continue;
-    const bool seen =
-        std::find_if(plan.candidates.begin(), plan.candidates.end(),
-                     [&](const LinkCandidate& c) {
-                       return c.primary == *target;
-                     }) != plan.candidates.end();
-    if (seen) continue;
-    plan.candidates.push_back(LinkCandidate{*target, *target});
-  }
+  // BuildLinks' draws, emitting candidates instead of links.
+  DrawHarmonic(net.ring(), n, own_key,
+               static_cast<size_t>(budget) + kPlanBackupSlots, rng,
+               [&](PeerId owner) {
+                 if (self.has_value() && owner == *self) return false;
+                 const bool seen =
+                     std::find_if(plan.candidates.begin(),
+                                  plan.candidates.end(),
+                                  [&](const LinkCandidate& c) {
+                                    return c.primary == owner;
+                                  }) != plan.candidates.end();
+                 if (seen) return false;
+                 plan.candidates.push_back(LinkCandidate{owner, owner});
+                 return true;
+               });
   return plan;
 }
 

@@ -33,10 +33,10 @@ class MercuryOverlay : public Overlay {
                              Rng* rng) const override;
 
  private:
-  /// Shared draw loop: harmonic key-space probes from `own_key`,
-  /// deduped on owners (and on `self`, the planning peer itself during
-  /// a rewire; self == nullopt when join-planning for a peer not yet
-  /// in `net`).
+  /// BuildLinks' harmonic key-space draws from `own_key` as a plan of
+  /// budget + kPlanBackupSlots candidates, deduped on owners (and on
+  /// `self`, the planning peer itself during a rewire; self == nullopt
+  /// when join-planning for a peer not yet in `net`).
   static PeerLinkPlan PlanFrom(NetworkView net, KeyId own_key,
                                uint32_t budget, std::optional<PeerId> self,
                                Rng* rng);

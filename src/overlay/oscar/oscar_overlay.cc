@@ -12,6 +12,9 @@ namespace {
 /// Safety cap on the partition count log2(N-hat).
 constexpr uint32_t kMaxPartitions = 48;
 
+/// Saturated-target retries per link.
+constexpr uint32_t kAttemptsPerLink = 8;
+
 OscarOptions WithDefaults(OscarOptions options) {
   if (options.size_estimator == nullptr) {
     options.size_estimator = std::make_shared<OracleSizeEstimator>();
@@ -20,7 +23,6 @@ OscarOptions WithDefaults(OscarOptions options) {
     options.sampler = std::make_shared<RandomWalkSegmentSampler>();
   }
   options.samples_per_median = std::max(1u, options.samples_per_median);
-  options.attempts_per_link = std::max(1u, options.attempts_per_link);
   return options;
 }
 
@@ -127,38 +129,59 @@ std::optional<LinkCandidate> OscarOverlay::SampleLinkCandidate(
   return candidate;
 }
 
+template <typename Accept>
+void OscarOverlay::DrawSlots(NetworkView net, PeerId origin,
+                             const std::vector<RingSegment>& partitions,
+                             size_t pinned_slots, size_t target, Rng* rng,
+                             uint64_t* steps, Accept accept) const {
+  size_t filled = 0;
+  for (size_t slot = 0; filled < target; ++slot) {
+    const RingSegment* pinned =
+        slot < pinned_slots ? &partitions[slot] : nullptr;
+    bool found = false;
+    for (uint32_t attempt = 0; attempt < kAttemptsPerLink; ++attempt) {
+      const auto candidate =
+          SampleLinkCandidate(net, origin, partitions, rng, steps, pinned);
+      if (candidate.has_value() && accept(*candidate)) {
+        found = true;
+        break;
+      }
+    }
+    if (found) {
+      ++filled;
+    } else if (pinned == nullptr) {
+      // A dry pinned partition (unreachable sliver, or its peers
+      // already taken) forfeits only its own slot; a dry uniform draw
+      // means the partitions are out of fresh candidates everywhere.
+      break;
+    }
+  }
+}
+
 Status OscarOverlay::BuildLinks(Network* net, PeerId id, Rng* rng) {
   if (!net->alive(id)) return Status::Ok();
-  uint32_t budget = net->RemainingOutBudget(id);
+  const uint32_t budget = net->RemainingOutBudget(id);
   if (budget == 0 || net->alive_count() < 3) return Status::Ok();
 
   const std::vector<RingSegment> partitions =
       partitioner_.ComputePartitions(*net, id, rng);
   if (partitions.empty()) return Status::Ok();
 
-  while (budget > 0) {
-    bool linked = false;
-    for (uint32_t attempt = 0; attempt < options_.attempts_per_link;
-         ++attempt) {
-      const auto candidate =
-          SampleLinkCandidate(*net, id, partitions, rng, &sampling_steps_);
-      if (!candidate.has_value()) continue;
-      // Incremental construction resolves the p2c pair right here,
-      // against the loads the links it just placed have produced.
-      PeerId target = candidate->primary;
-      if (candidate->alternate != candidate->primary &&
-          net->RelativeInLoad(candidate->alternate) <
-              net->RelativeInLoad(candidate->primary)) {
-        target = candidate->alternate;
-      }
-      if (net->AddLongLink(id, target)) {
-        linked = true;
-        break;
-      }
-    }
-    if (!linked) break;  // Neighborhood saturated; give up gracefully.
-    --budget;
-  }
+  // Uniform partition draws until the budget is spent or the
+  // neighborhood is saturated.
+  DrawSlots(*net, id, partitions, /*pinned_slots=*/0, budget, rng,
+            &sampling_steps_, [&](const LinkCandidate& candidate) {
+              // Incremental construction resolves the p2c pair right
+              // here, against the loads the links it just placed have
+              // produced.
+              PeerId target = candidate.primary;
+              if (candidate.alternate != candidate.primary &&
+                  net->RelativeInLoad(candidate.alternate) <
+                      net->RelativeInLoad(candidate.primary)) {
+                target = candidate.alternate;
+              }
+              return net->AddLongLink(id, target);
+            });
   return Status::Ok();
 }
 
@@ -205,8 +228,6 @@ void OscarOverlay::FillPlanSlots(NetworkView net, PeerId origin,
   // the p2c pair resolution belong to the apply phase, where loads are
   // live. Planning only rejects what the peer itself can see:
   // re-sampled primaries already slotted in its own plan.
-  const size_t slots =
-      static_cast<size_t>(plan->budget) + kPlanBackupSlots;
   // Stratified first round — one slot pinned to each partition,
   // farthest first — then uniform partition draws, the paper's
   // construction (one neighbor per partition) generalized to budgets
@@ -214,31 +235,21 @@ void OscarOverlay::FillPlanSlots(NetworkView net, PeerId origin,
   // peers with no far link at all (Binomial variance), and those
   // missing longest hops are exactly what greedy routing pays for
   // most.
-  for (size_t slot = 0; plan->candidates.size() < slots; ++slot) {
-    const RingSegment* pinned =
-        slot < partitions.size() && slot < plan->budget ? &partitions[slot]
-                                                        : nullptr;
-    bool found = false;
-    for (uint32_t attempt = 0; attempt < options_.attempts_per_link;
-         ++attempt) {
-      const auto candidate = SampleLinkCandidate(
-          net, origin, partitions, rng, &plan->sampling_steps, pinned);
-      if (!candidate.has_value()) continue;
-      const bool seen =
-          std::find_if(plan->candidates.begin(), plan->candidates.end(),
-                       [&](const LinkCandidate& c) {
-                         return c.primary == candidate->primary;
-                       }) != plan->candidates.end();
-      if (seen) continue;
-      plan->candidates.push_back(*candidate);
-      found = true;
-      break;
-    }
-    // A dry pinned partition (unreachable sliver, or its peers already
-    // slotted) forfeits only its own slot; a dry uniform draw means
-    // the partitions are out of fresh candidates everywhere.
-    if (!found && pinned == nullptr) break;
-  }
+  const size_t pinned_slots =
+      std::min(partitions.size(), static_cast<size_t>(plan->budget));
+  DrawSlots(net, origin, partitions, pinned_slots,
+            static_cast<size_t>(plan->budget) + kPlanBackupSlots, rng,
+            &plan->sampling_steps, [&](const LinkCandidate& candidate) {
+              const bool seen =
+                  std::find_if(plan->candidates.begin(),
+                               plan->candidates.end(),
+                               [&](const LinkCandidate& c) {
+                                 return c.primary == candidate.primary;
+                               }) != plan->candidates.end();
+              if (seen) return false;
+              plan->candidates.push_back(candidate);
+              return true;
+            });
 }
 
 }  // namespace oscar

@@ -24,7 +24,6 @@ struct OscarOptions {
   SegmentSamplerPtr sampler;        // Defaults to RandomWalkSegmentSampler.
   uint32_t samples_per_median = 9;  // Per-median sample size (ablation X2).
   bool use_p2c = true;              // Power-of-two-choices in-degree balance.
-  uint32_t attempts_per_link = 8;   // Saturated-target retries per link.
 };
 
 /// A clockwise ring segment [from, to).
@@ -116,6 +115,17 @@ class OscarOverlay : public Overlay {
       NetworkView net, PeerId id, const std::vector<RingSegment>& partitions,
       Rng* rng, uint64_t* steps,
       const RingSegment* fixed_segment = nullptr) const;
+
+  /// The one slot loop of BuildLinks and FillPlanSlots. Slot s below
+  /// `pinned_slots` is pinned to partitions[s]; later slots draw their
+  /// partition uniformly. Each slot spends up to kAttemptsPerLink
+  /// candidate draws until `accept` takes one. The loop ends once
+  /// `target` slots are filled or an unpinned slot comes up dry.
+  template <typename Accept>
+  void DrawSlots(NetworkView net, PeerId origin,
+                 const std::vector<RingSegment>& partitions,
+                 size_t pinned_slots, size_t target, Rng* rng,
+                 uint64_t* steps, Accept accept) const;
 
   /// The shared slot loop of PlanLinks and PlanJoinLinks: stratified
   /// first round over `partitions`, then uniform draws, deduped on

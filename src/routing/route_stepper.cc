@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/string_util.h"
-
 namespace oscar {
 
 namespace {
@@ -123,17 +121,6 @@ void GreedyStepper::Abandon(NetworkView net) {
   result_.terminal = current_;
   result_.success = owner.has_value() && current_ == *owner;
   done_ = true;
-}
-
-bool GreedyStepper::FailDelivery(NetworkView net) {
-  (void)net;
-  if (done_ || result_.path.size() < 2) return false;
-  result_.path.pop_back();
-  --result_.hops;
-  ++result_.wasted;  // The undelivered message is a timed-out probe.
-  current_ = result_.path.back();
-  result_.terminal = current_;
-  return true;
 }
 
 // ---- BacktrackingStepper -------------------------------------------------
@@ -264,17 +251,6 @@ bool BacktrackingStepper::FailDelivery(NetworkView net) {
   probed_dead_.insert(failed);
   result_.terminal = stack_.back();
   return true;
-}
-
-Result<RouteStepperPtr> MakeRouteStepper(const std::string& name) {
-  if (name == "greedy") {
-    return RouteStepperPtr(std::make_unique<GreedyStepper>());
-  }
-  if (name == "backtracking") {
-    return RouteStepperPtr(std::make_unique<BacktrackingStepper>());
-  }
-  return Status::Error(StrCat("unknown route stepper: '", name,
-                              "' (expected greedy|backtracking)"));
 }
 
 }  // namespace oscar

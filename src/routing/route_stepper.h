@@ -17,12 +17,9 @@
 #ifndef OSCAR_ROUTING_ROUTE_STEPPER_H_
 #define OSCAR_ROUTING_ROUTE_STEPPER_H_
 
-#include <memory>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
-#include "common/status.h"
 #include "routing/router.h"
 
 namespace oscar {
@@ -42,60 +39,31 @@ struct RouteStep {
   uint32_t dead_probes = 0;  // Dead neighbors first-probed in this step.
 };
 
-class RouteStepper {
- public:
-  virtual ~RouteStepper() = default;
-
-  /// Resets to a fresh route from `source` toward `target`. The stepper
-  /// may be done() immediately (dead source, empty ring): a failure.
-  virtual void Start(NetworkView net, PeerId source, KeyId target) = 0;
-
-  /// Advances the route by one decision. Precondition: !done(). Every
-  /// call re-checks whether the current peer owns the target against
-  /// `net` — in O(1), from the peer's ring position — so liveness
-  /// changes between steps are observed (identical to the whole-path
-  /// routers while `net` is unchanged during a route).
-  virtual RouteStep Step(NetworkView net) = 0;
-
-  virtual bool done() const = 0;
-
-  /// Finishes the route in its current state — the caller's message
-  /// budget ran out. Mirrors the whole-path routers' loop-exhaustion
-  /// path: success iff the route happens to sit on the owner.
-  virtual void Abandon(NetworkView net) = 0;
-
-  /// Reverts the route one level after a failed delivery: the message
-  /// to the current position never arrived (its holder crashed). The
-  /// failed hop is refunded (when it was a forward) and recharged as
-  /// one wasted message; routing resumes one level up. Only meaningful
-  /// when the failed peer is now dead — a live peer would be re-chosen
-  /// by a greedy re-step. Returns false (and does nothing) when the
-  /// route is already at its origin with nothing to revert.
-  virtual bool FailDelivery(NetworkView net) = 0;
-
-  /// Accumulated route result; final once done().
-  virtual const RouteResult& result() const = 0;
-
-  /// Peer currently holding the query.
-  virtual PeerId current() const = 0;
-
-  virtual std::string name() const = 0;
-};
-
-using RouteStepperPtr = std::unique_ptr<RouteStepper>;
+// GreedyStepper and BacktrackingStepper expose the same step interface:
+//  - Start(net, source, target) resets to a fresh route. The stepper may
+//    be done() immediately (dead source, empty ring): a failure.
+//  - Step(net) advances the route by one decision. Precondition:
+//    !done(). Every call re-checks whether the current peer owns the
+//    target against `net` — in O(1), from the peer's ring position — so
+//    liveness changes between steps are observed (identical to the
+//    whole-path routers while `net` is unchanged during a route).
+//  - Abandon(net) finishes the route in its current state — the caller's
+//    message budget ran out. Mirrors the whole-path routers'
+//    loop-exhaustion path: success iff the route happens to sit on the
+//    owner.
+//  - result() is the accumulated route result, final once done();
+//    current() is the peer holding the query.
 
 /// The GreedyRouter algorithm, one hop per Step (capacity-aware band
 /// relaxation and lazy dead-probe charging included).
-class GreedyStepper final : public RouteStepper {
+class GreedyStepper {
  public:
-  void Start(NetworkView net, PeerId source, KeyId target) override;
-  RouteStep Step(NetworkView net) override;
-  bool done() const override { return done_; }
-  void Abandon(NetworkView net) override;
-  bool FailDelivery(NetworkView net) override;
-  const RouteResult& result() const override { return result_; }
-  PeerId current() const override { return current_; }
-  std::string name() const override { return "greedy"; }
+  void Start(NetworkView net, PeerId source, KeyId target);
+  RouteStep Step(NetworkView net);
+  bool done() const { return done_; }
+  void Abandon(NetworkView net);
+  const RouteResult& result() const { return result_; }
+  PeerId current() const { return current_; }
 
  private:
   template <typename Topo>
@@ -108,19 +76,26 @@ class GreedyStepper final : public RouteStepper {
 };
 
 /// The BacktrackingRouter algorithm (fault-aware depth-first greedy),
-/// one forward or backtrack move per Step.
-class BacktrackingStepper final : public RouteStepper {
+/// one forward or backtrack move per Step. The message engine drives
+/// this one.
+class BacktrackingStepper {
  public:
-  void Start(NetworkView net, PeerId source, KeyId target) override;
-  RouteStep Step(NetworkView net) override;
-  bool done() const override { return done_; }
-  void Abandon(NetworkView net) override;
-  bool FailDelivery(NetworkView net) override;
-  const RouteResult& result() const override { return result_; }
-  PeerId current() const override {
+  void Start(NetworkView net, PeerId source, KeyId target);
+  RouteStep Step(NetworkView net);
+  bool done() const { return done_; }
+  void Abandon(NetworkView net);
+  /// Reverts the route one level after a failed delivery: the message
+  /// to the current position never arrived (its holder crashed). The
+  /// failed hop is refunded (when it was a forward) and recharged as
+  /// one wasted message; routing resumes one level up. Only meaningful
+  /// when the failed peer is now dead — a live peer would be re-chosen
+  /// by a greedy re-step. Returns false (and does nothing) when the
+  /// route is already at its origin with nothing to revert.
+  bool FailDelivery(NetworkView net);
+  const RouteResult& result() const { return result_; }
+  PeerId current() const {
     return stack_.empty() ? source_ : stack_.back();
   }
-  std::string name() const override { return "backtracking"; }
 
  private:
   template <typename Topo>
@@ -134,9 +109,6 @@ class BacktrackingStepper final : public RouteStepper {
   std::unordered_set<PeerId> probed_dead_;
   std::vector<PeerId> stack_;
 };
-
-/// Factory over the named steppers: "greedy" | "backtracking".
-Result<RouteStepperPtr> MakeRouteStepper(const std::string& name);
 
 }  // namespace oscar
 

@@ -7,6 +7,30 @@
 namespace oscar {
 namespace {
 
+/// Steps before the first membership test.
+constexpr uint32_t kBurnIn = 12;
+/// Steps between membership tests.
+constexpr uint32_t kTestStride = 6;
+/// Rejection budget before falling back.
+constexpr uint32_t kMaxWalkSteps = 72;
+/// Segments at or below this population are served from the successor
+/// list instead (uniform pick, one message per peer enumerated):
+/// rejection-walking into a sliver of the ring is hopeless, and every
+/// DHT node maintains its near neighborhood anyway.
+constexpr uint32_t kSuccessorListCutoff = 48;
+/// When the rejection budget is exhausted the sampler routes to a
+/// random key in the segment and spreads the landing over this many
+/// clockwise successors. Taking the owner alone would be gap-biased:
+/// peers in dense clusters own almost no key space, get starved of
+/// in-links, lose walk degree, and the starvation feeds back.
+constexpr uint32_t kFallbackSpread = 8;
+/// Metropolis-Hastings acceptance floor. Pure MH (accept with
+/// deg_u/deg_v) makes the walk uniform over peers but traps it at
+/// low-degree nodes — a freshly joined peer with two ring links would
+/// reject ~93% of its escape moves. The floor bounds the trap at
+/// 1/floor expected steps and still removes most of the degree bias.
+constexpr double kMhFloor = 0.3;
+
 /// Where a rejection walk ended: on a peer inside the segment (found),
 /// or at its final position with the budget exhausted (the fallback
 /// range walk starts there).
@@ -45,17 +69,16 @@ PeerId KthAlive(const Topo& topo, const NeighborRow& row, size_t k) {
 /// read in place and the current peer's row is reused after a move.
 template <typename Topo>
 WalkOutcome Walk(const Topo& topo, PeerId origin, KeyId from, KeyId to,
-                 const RandomWalkOptions& options, Rng* rng) {
+                 std::vector<PeerId>* visit_trace, Rng* rng) {
   WalkOutcome out;
   PeerId current = origin;
-  if (options.visit_trace != nullptr) options.visit_trace->push_back(current);
-  const uint32_t total_steps = options.burn_in + options.max_walk_steps;
+  if (visit_trace != nullptr) visit_trace->push_back(current);
+  const uint32_t total_steps = kBurnIn + kMaxWalkSteps;
   NeighborRow row = NeighborRowOf(topo, current, topo.ring().PosOf(current),
                                   /*with_in_links=*/true);
   size_t degree = CountAlive(topo, row);
   for (uint32_t step = 0; step < total_steps; ++step) {
-    if (step >= options.burn_in &&
-        (step - options.burn_in) % options.test_stride == 0 &&
+    if (step >= kBurnIn && (step - kBurnIn) % kTestStride == 0 &&
         InClockwiseSegment(topo.key(current), from, to)) {
       out.found = true;
       break;
@@ -69,16 +92,14 @@ WalkOutcome Walk(const Topo& topo, PeerId origin, KeyId from, KeyId to,
     const size_t proposal_degree = CountAlive(topo, proposal_row);
     ++out.steps;
     if (proposal_degree == 0) continue;
-    const double accept = std::max(
-        options.mh_floor, static_cast<double>(degree) /
-                              static_cast<double>(proposal_degree));
+    const double accept =
+        std::max(kMhFloor, static_cast<double>(degree) /
+                               static_cast<double>(proposal_degree));
     if (rng->NextDouble() < accept) {
       current = proposal;
       row = proposal_row;
       degree = proposal_degree;
-      if (options.visit_trace != nullptr) {
-        options.visit_trace->push_back(current);
-      }
+      if (visit_trace != nullptr) visit_trace->push_back(current);
     }
   }
   out.current = current;
@@ -94,7 +115,7 @@ Result<SegmentSample> RandomWalkSegmentSampler::SampleInSegment(
   if (count == 0) {
     return Status::Error("random-walk sampler: empty segment");
   }
-  if (count <= options_.successor_list_cutoff) {
+  if (count <= kSuccessorListCutoff) {
     // Successor-list path: enumerate the segment (one message per peer)
     // and pick uniformly. The ring index is shared by both backends.
     const auto peer = net.ring().NthInSegment(
@@ -105,7 +126,7 @@ Result<SegmentSample> RandomWalkSegmentSampler::SampleInSegment(
     return SegmentSample{*peer, count};
   }
   const WalkOutcome walk = net.Visit([&](const auto& topo) {
-    return Walk(topo, origin, from, to, options_, rng);
+    return Walk(topo, origin, from, to, options_.visit_trace, rng);
   });
   if (walk.found) return SegmentSample{walk.current, walk.steps};
   uint64_t steps = walk.steps;
@@ -130,8 +151,7 @@ Result<SegmentSample> RandomWalkSegmentSampler::SampleInSegment(
     landed = *first;
     ++steps;
   }
-  const uint32_t spread = std::max(1u, options_.fallback_spread);
-  uint32_t hops = static_cast<uint32_t>(rng->UniformInt(spread));
+  uint32_t hops = static_cast<uint32_t>(rng->UniformInt(kFallbackSpread));
   for (; hops > 0; --hops) {
     const auto next = net.SuccessorOf(landed);
     if (!next.has_value() ||

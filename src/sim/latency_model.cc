@@ -5,21 +5,23 @@
 #include "common/stats.h"
 
 namespace oscar {
+namespace {
 
-double LatencyModel::DelayForKey(KeyId key, const LatencyOptions& options) {
+constexpr double kMedianMs = 25.0;  // Median per-hop forwarding delay.
+constexpr double kSigma = 0.8;      // Lognormal shape (heavy tail).
+
+}  // namespace
+
+double LatencyModel::DelayForKey(KeyId key) {
   // One private splitmix64 stream per peer, keyed by its ring key.
   Rng peer_rng(key.raw ^ 0x5851f42d4c957f2dULL);
-  return options.median_ms * std::exp(options.sigma * peer_rng.NextGaussian());
+  return kMedianMs * std::exp(kSigma * peer_rng.NextGaussian());
 }
 
-LatencyModel::LatencyModel(const Network& net, const LatencyOptions& options,
-                           Rng* rng)
-    : options_(options) {
-  (void)rng;  // See header: delays must not depend on stream position.
+LatencyModel::LatencyModel(const Network& net) {
   delays_ms_.reserve(net.size());
   for (size_t i = 0; i < net.size(); ++i) {
-    delays_ms_.push_back(
-        DelayForKey(net.key(static_cast<PeerId>(i)), options_));
+    delays_ms_.push_back(DelayForKey(net.key(static_cast<PeerId>(i))));
   }
 }
 
@@ -43,7 +45,7 @@ LatencyEvaluation EvaluateLatency(const Network& net, const Router& router,
     for (size_t i = 1; i < route.path.size(); ++i) {
       ms += model.HopDelayMs(route.path[i]);
     }
-    ms += static_cast<double>(route.wasted) * model.timeout_ms();
+    ms += static_cast<double>(route.wasted) * LatencyModel::kDeadProbeMs;
     latencies.push_back(ms);
   }
   double total = 0.0;

@@ -14,33 +14,28 @@
 
 namespace oscar {
 
-struct LatencyOptions {
-  double median_ms = 25.0;   // Median per-hop forwarding delay.
-  double sigma = 0.8;        // Lognormal shape (heavy tail).
-  double timeout_ms = 500.0; // Cost of probing a dead peer.
-};
-
 class LatencyModel {
  public:
-  /// Assigns each peer a delay derived from a hash of its ring key —
-  /// a property of the peer, not of the caller's rng stream position.
-  /// This keeps delays identical between a network and a crashed copy
-  /// of it even when a crash pass consumed rng draws in between (the
-  /// common-random-numbers discipline the churn comparisons rely on).
-  /// `rng` is accepted for API symmetry and only seeds nothing today.
-  LatencyModel(const Network& net, const LatencyOptions& options, Rng* rng);
+  /// Cost of probing a dead peer.
+  static constexpr double kDeadProbeMs = 500.0;
+
+  /// Assigns each peer a lognormal delay (median 25 ms, sigma 0.8)
+  /// derived from a hash of its ring key — a property of the peer, not
+  /// of any rng stream position. This keeps delays identical between a
+  /// network and a crashed copy of it even when a crash pass consumed
+  /// rng draws in between (the common-random-numbers discipline the
+  /// churn comparisons rely on).
+  explicit LatencyModel(const Network& net);
 
   double HopDelayMs(PeerId id) const { return delays_ms_[id]; }
-  double timeout_ms() const { return options_.timeout_ms; }
 
   /// The delay assigned to a peer whose ring key is `key` — a pure
   /// function of the key. Shared with the message-level simulator so
   /// peers joining mid-run get the same stable, stream-independent
   /// delays the constructor precomputes.
-  static double DelayForKey(KeyId key, const LatencyOptions& options);
+  static double DelayForKey(KeyId key);
 
  private:
-  LatencyOptions options_;
   std::vector<double> delays_ms_;
 };
 

@@ -6,14 +6,7 @@ namespace oscar {
 
 MessageSim::MessageSim(EventEngine* engine, Network* net,
                        const MessageSimOptions& options, Rng* rng)
-    : engine_(engine), net_(net), options_(options), rng_(rng) {
-  // An unknown router name is a caller bug (the scenario layer
-  // validates names before construction); fall back to the fault-aware
-  // default rather than failing mid-event.
-  if (!MakeRouteStepper(options_.router).ok()) {
-    options_.router = "backtracking";
-  }
-}
+    : engine_(engine), net_(net), options_(options), rng_(rng) {}
 
 void MessageSim::ArmSampler() {
   if (sampler_armed_ || options_.sink == nullptr ||
@@ -74,7 +67,7 @@ void MessageSim::Activate(uint64_t id) {
   ++active_;
   concurrency_.Add(engine_->now(), +1);
   Lookup& lookup = lookups_[id];
-  lookup.stepper = std::move(MakeRouteStepper(options_.router)).value();
+  lookup.stepper = std::make_unique<BacktrackingStepper>();
   lookup.stepper->Start(*net_, outcomes_[id].source, outcomes_[id].target);
   Emit(TraceKind::kStart, id, outcomes_[id].source, kTraceNone, 0);
   if (lookup.stepper->done()) {  // Dead source or empty ring.
@@ -148,7 +141,7 @@ void MessageSim::EndService(PeerId peer) {
 void MessageSim::ProcessAt(uint64_t id, PeerId peer) {
   // A finished lookup's stepper is already freed; its message is moot.
   if (outcomes_[id].finished) return;
-  RouteStepper& stepper = *lookups_[id].stepper;
+  BacktrackingStepper& stepper = *lookups_[id].stepper;
   // The same generous safety net the whole-path routers use, re-read
   // each time because churn changes the alive count mid-run.
   const size_t budget = 8 * net_->alive_count() + 64;
@@ -171,7 +164,7 @@ void MessageSim::ProcessAt(uint64_t id, PeerId peer) {
           options_.zero_latency
               ? 0.0
               : static_cast<double>(step.dead_probes) *
-                    options_.latency.timeout_ms;
+                    LatencyModel::kDeadProbeMs;
       Emit(step.kind == StepKind::kForward ? TraceKind::kForward
                                            : TraceKind::kBacktrack,
            id, peer, step.to, step.dead_probes);
@@ -230,7 +223,7 @@ void MessageSim::HandleTimeout(uint64_t id) {
   if (outcomes_[id].finished) return;
   ++timeouts_;
   Lookup& lookup = lookups_[id];
-  RouteStepper& stepper = *lookup.stepper;
+  BacktrackingStepper& stepper = *lookup.stepper;
   if (!net_->alive(lookup.pending_dest)) {
     // Crash discovered by silence: revert the unanswered hop and route
     // around it. (Also reached with a stale pending_dest when the peer
@@ -300,7 +293,7 @@ void MessageSim::Finish(uint64_t id) {
 
 double MessageSim::HopDelayMs(PeerId to) const {
   if (options_.zero_latency) return 0.0;
-  return LatencyModel::DelayForKey(net_->key(to), options_.latency);
+  return LatencyModel::DelayForKey(net_->key(to));
 }
 
 MessageSimReport MessageSim::Report() const {

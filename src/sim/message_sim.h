@@ -1,10 +1,11 @@
 // Message-level lookup simulation on the discrete-event engine. Every
 // lookup is an individual query message advanced one hop at a time by a
-// RouteStepper; hops are priced by the latency model, forwarding passes
-// through a per-peer FIFO (one message in service at a time, so load
-// queues), and undelivered messages — lost, or sent to a peer that
-// crashed while they were in flight — are discovered by ack timeout and
-// retried or routed around, never by oracle.
+// BacktrackingStepper (fault-aware greedy); hops are priced by the
+// latency model, forwarding passes through a per-peer FIFO (one message
+// in service at a time, so load queues), and undelivered messages —
+// lost, or sent to a peer that crashed while they were in flight — are
+// discovered by ack timeout and retried or routed around, never by
+// oracle.
 //
 // Modeling notes (all deterministic under a fixed seed):
 //  - Ack timeouts are only scheduled for transmissions that actually
@@ -20,7 +21,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <string>
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -36,12 +37,9 @@
 
 namespace oscar {
 
+// Per-hop delays come from LatencyModel::DelayForKey, and each dead
+// probe costs LatencyModel::kDeadProbeMs.
 struct MessageSimOptions {
-  /// Routing algorithm driven hop-by-hop: "greedy" | "backtracking".
-  std::string router = "backtracking";
-  /// Per-hop delay model (median/sigma) — `latency.timeout_ms` prices
-  /// dead probes, `timeout_ms` below is the ack timeout.
-  LatencyOptions latency;
   /// Zero every transmission delay (the synchronous cross-check mode).
   bool zero_latency = false;
   /// Time a peer spends forwarding one message; queueing delay emerges
@@ -136,7 +134,8 @@ class MessageSim {
 
  private:
   struct Lookup {
-    RouteStepperPtr stepper;
+    // On the heap, not inline: an idle Lookup stays one pointer wide.
+    std::unique_ptr<BacktrackingStepper> stepper;
     uint32_t hop_attempts = 0;  // Resends of the current transmission.
     PeerId pending_from = 0;    // Sender of the in-flight transmission.
     PeerId pending_dest = 0;    // Its destination.

@@ -244,9 +244,6 @@ Result<ScenarioResult> RunScenarioOn(const std::string& name,
   auto resolved = MakeScenarioOptions(name, base);
   if (!resolved.ok()) return resolved.status();
   const ScenarioOptions& options = resolved.value();
-  if (auto probe = MakeRouteStepper(options.sim.router); !probe.ok()) {
-    return probe.status();
-  }
 
   // Mutable restore of the shared frozen topology: churn happens here.
   // On a recycled scratch this is a delta repair of the peers the
@@ -332,7 +329,7 @@ Result<ScenarioResult> RunScenarioOn(const std::string& name,
   std::unique_ptr<Maintainer> maintainer;
   std::unique_ptr<Rng> maintenance_rng;
   if (options.maintenance_cadence_ms > 0.0) {
-    maintainer = std::make_unique<Maintainer>(overlay, options.maintenance);
+    maintainer = std::make_unique<Maintainer>(overlay, MaintenanceOptions{});
     maintenance_rng =
         std::make_unique<Rng>(options.seed ^ 0x413b8e2d5f7c6a19ULL);
     Maintainer* m = maintainer.get();
@@ -436,7 +433,6 @@ Result<size_t> CrossCheckMessageVsSync(const ScenarioOptions& base,
   Network message_net = net;
   EventEngine engine;
   MessageSimOptions sim_options = base.sim;
-  sim_options.router = "backtracking";
   sim_options.zero_latency = true;
   sim_options.service_ms = 0.0;
   sim_options.loss_rate = 0.0;

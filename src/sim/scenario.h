@@ -54,11 +54,11 @@ struct ScenarioOptions {
   // Virtual-time maintenance rounds racing the workload: < 0 lets the
   // scenario pick (hostile scenarios enable repair, legacy ones don't),
   // 0 forces maintenance off, > 0 runs Maintainer::RunRound every this
-  // many virtual ms. Rounds draw from a private rng stream, so turning
-  // them on never perturbs the churn or workload draws — the
-  // with/without comparison is apples-to-apples.
+  // many virtual ms, with the default MaintenanceOptions. Rounds draw
+  // from a private rng stream, so turning them on never perturbs the
+  // churn or workload draws — the with/without comparison is
+  // apples-to-apples.
   double maintenance_cadence_ms = -1.0;
-  MaintenanceOptions maintenance;
 
   // Adversarial hot-key placement: when hot_keys > 0 and this span is
   // positive, the hot set is drawn uniformly inside the clockwise ring

@@ -22,6 +22,7 @@
 #ifndef OSCAR_TRACE_COLUMNAR_TRACE_H_
 #define OSCAR_TRACE_COLUMNAR_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -37,6 +38,8 @@ inline constexpr uint32_t kOtraceVersion = 1;
 inline constexpr uint8_t kOtraceStringTag = 'S';
 inline constexpr uint8_t kOtraceBlockTag = 'B';
 inline constexpr uint8_t kOtraceEndTag = 'E';
+/// One event's bytes across a block's six columns.
+inline constexpr size_t kOtraceEventBytes = 8 + 1 + 4 * 4;
 
 class ColumnarTraceWriter : public BasicTraceSink {
  public:

@@ -15,6 +15,7 @@ class Cursor {
 
   bool done() const { return pos_ >= size_; }
   size_t pos() const { return pos_; }
+  size_t remaining() const { return size_ - pos_; }
 
   bool Take(size_t n, const char** out) {
     if (size_ - pos_ < n) return false;
@@ -108,6 +109,12 @@ Result<TraceContents> ReadTrace(std::istream& in) {
       }
       if (scope >= contents.strings.size()) {
         return Corrupt(StrCat("undefined scope id ", scope), cursor.pos());
+      }
+      // Checked before allocating: a forged count must not size the
+      // record table past what the file can hold.
+      if (count > cursor.remaining() / kOtraceEventBytes) {
+        return Corrupt(StrCat("block count ", count, " exceeds the file"),
+                       cursor.pos());
       }
       const size_t base = contents.records.size();
       contents.records.resize(base + count);

@@ -62,11 +62,7 @@ struct TopologySnapshotTestAccess {
     snap->out_edges_[index] = value;
   }
   static void BreakOffsetMonotonicity(TopologySnapshot* snap, PeerId id) {
-    if (snap->wide_) {
-      ++snap->out_offsets64_[id];
-    } else {
-      ++snap->out_offsets32_[id];
-    }
+    ++snap->out_offsets_[id];
   }
   static void CorruptRingPos(TopologySnapshot* snap, PeerId id) {
     RingTestAccess::SetPos(&snap->ring_, id, snap->ring_.PosOf(id) + 1);
@@ -238,15 +234,6 @@ TEST(SnapshotValidate, PassesOnHealthySnapshots) {
     // Frozen mid-churn: dangling out-edges to dead peers are legal.
     EXPECT_TRUE(TopologySnapshot(net).Validate().ok()) << "crashed " << seed;
   }
-}
-
-TEST(SnapshotValidate, PassesOnWideOffsetSnapshots) {
-  Network net = LinkedNetwork(120, 42);
-  const uint64_t previous = TopologySnapshot::SetWideOffsetThresholdForTest(8);
-  const TopologySnapshot wide(net);
-  TopologySnapshot::SetWideOffsetThresholdForTest(previous);
-  ASSERT_TRUE(wide.wide_offsets());
-  EXPECT_TRUE(wide.Validate().ok());
 }
 
 TEST(SnapshotValidate, DetectsEachCorruptionClass) {

@@ -1,13 +1,12 @@
 // Backend equivalence: every read-side algorithm is written once over
-// NetworkView, and running it over a live Network, over a frozen
-// TopologySnapshot of it, or over a wide-offset (64-bit CSR) snapshot of
-// it must give the same result — route steppers move for move (same step
-// kinds, hops, dead probes and final routes), whole routes, random walks
-// visit for visit (same visited-peer sequence, sample and step charge
-// from the same rng stream), and gap size estimates — on seeds 42-45,
-// intact and crashed. This is the guard that lets churn evaluation,
-// checkpoint rewiring and the serving tier read snapshots without
-// moving a harness byte.
+// NetworkView, and running it over a live Network or over a frozen
+// TopologySnapshot of it must give the same result — route steppers
+// move for move (same step kinds, hops, dead probes and final routes),
+// whole routes, random walks visit for visit (same visited-peer
+// sequence, sample and step charge from the same rng stream), and gap
+// size estimates — on seeds 42-45, intact and crashed. This is the
+// guard that lets churn evaluation, checkpoint rewiring and the serving
+// tier read snapshots without moving a harness byte.
 
 #include <gtest/gtest.h>
 
@@ -41,19 +40,11 @@ Network LinkedNetwork(size_t n, uint64_t seed) {
   return net;
 }
 
-/// A snapshot of `net` forced onto 64-bit CSR offsets.
-TopologySnapshot WideSnapshot(const Network& net) {
-  const uint64_t prev = TopologySnapshot::SetWideOffsetThresholdForTest(64);
-  TopologySnapshot wide(net);
-  TopologySnapshot::SetWideOffsetThresholdForTest(prev);
-  EXPECT_TRUE(wide.wide_offsets());
-  return wide;
-}
-
 /// Drives one stepper over the live view and a second over the frozen
 /// view one Step at a time and requires every observable of every step
 /// to agree.
-void ExpectLockstepEqual(RouteStepper& on_live, RouteStepper& on_frozen,
+template <typename Stepper>
+void ExpectLockstepEqual(Stepper& on_live, Stepper& on_frozen,
                          NetworkView live, NetworkView frozen, PeerId source,
                          KeyId target, const std::string& label) {
   on_live.Start(live, source, target);
@@ -92,23 +83,19 @@ TEST(BackendEquivalenceTest, SteppersLockstepAcrossSeedsAndCrashLevels) {
         Rng crash_rng(seed ^ 0xfeedULL);
         ASSERT_TRUE(CrashFraction(&net, crash, &crash_rng).ok());
       }
-      const TopologySnapshot narrow(net);
-      const TopologySnapshot wide = WideSnapshot(net);
+      const TopologySnapshot snap(net);
       const std::vector<PeerId> alive = net.AlivePeers();
       Rng query_rng(seed * 777);
       for (int q = 0; q < 120; ++q) {
         const PeerId source =
             alive[static_cast<size_t>(query_rng.UniformInt(alive.size()))];
         const KeyId target = KeyId::FromUnit(query_rng.NextDouble());
-        for (const TopologySnapshot* snap : {&narrow, &wide}) {
-          const std::string backend = snap == &narrow ? "narrow" : "wide";
-          GreedyStepper greedy_live, greedy_frozen;
-          ExpectLockstepEqual(greedy_live, greedy_frozen, net, *snap, source,
-                              target, "greedy/" + backend);
-          BacktrackingStepper dfs_live, dfs_frozen;
-          ExpectLockstepEqual(dfs_live, dfs_frozen, net, *snap, source,
-                              target, "backtracking/" + backend);
-        }
+        GreedyStepper greedy_live, greedy_frozen;
+        ExpectLockstepEqual(greedy_live, greedy_frozen, net, snap, source,
+                            target, "greedy");
+        BacktrackingStepper dfs_live, dfs_frozen;
+        ExpectLockstepEqual(dfs_live, dfs_frozen, net, snap, source, target,
+                            "backtracking");
       }
     }
   }
@@ -123,8 +110,7 @@ TEST(BackendEquivalenceTest, RoutersMatchPerQuery) {
     Network net = LinkedNetwork(250, seed);
     Rng crash_rng(seed ^ 0xbeefULL);
     ASSERT_TRUE(CrashFraction(&net, 0.15, &crash_rng).ok());
-    const TopologySnapshot narrow(net);
-    const TopologySnapshot wide = WideSnapshot(net);
+    const TopologySnapshot snap(net);
     const std::vector<PeerId> alive = net.AlivePeers();
     Rng query_rng(seed * 1009);
     for (int q = 0; q < 150; ++q) {
@@ -135,17 +121,15 @@ TEST(BackendEquivalenceTest, RoutersMatchPerQuery) {
            {static_cast<const Router*>(&greedy),
             static_cast<const Router*>(&backtracking)}) {
         const RouteResult live = router->Route(net, source, target);
-        for (const TopologySnapshot* snap : {&narrow, &wide}) {
-          const RouteResult frozen = router->Route(*snap, source, target);
-          ASSERT_EQ(live.success, frozen.success)
-              << router->name() << " seed " << seed << " query " << q;
-          ASSERT_EQ(live.hops, frozen.hops)
-              << router->name() << " seed " << seed << " query " << q;
-          ASSERT_EQ(live.wasted, frozen.wasted)
-              << router->name() << " seed " << seed << " query " << q;
-          ASSERT_EQ(live.path, frozen.path)
-              << router->name() << " seed " << seed << " query " << q;
-        }
+        const RouteResult frozen = router->Route(snap, source, target);
+        ASSERT_EQ(live.success, frozen.success)
+            << router->name() << " seed " << seed << " query " << q;
+        ASSERT_EQ(live.hops, frozen.hops)
+            << router->name() << " seed " << seed << " query " << q;
+        ASSERT_EQ(live.wasted, frozen.wasted)
+            << router->name() << " seed " << seed << " query " << q;
+        ASSERT_EQ(live.path, frozen.path)
+            << router->name() << " seed " << seed << " query " << q;
       }
     }
   }
@@ -165,12 +149,8 @@ struct WalkRecord {
 std::vector<WalkRecord> SampleWalks(NetworkView view,
                                     const std::vector<PeerId>& alive,
                                     uint64_t seed) {
-  // Small cutoff so wide segments actually exercise the rejection walk
-  // (at test scale the tuned default would shunt everything onto the
-  // successor-list path and test nothing).
   std::vector<PeerId> visited;
   RandomWalkOptions options;
-  options.successor_list_cutoff = 8;
   options.visit_trace = &visited;
   const RandomWalkSegmentSampler sampler(options);
   Rng walk_rng(seed * 31337);
@@ -207,8 +187,7 @@ TEST(BackendEquivalenceTest, WalksLockstepAcrossSeedsAndCrashLevels) {
         Rng crash_rng(seed ^ 0xc0ffeeULL);
         ASSERT_TRUE(CrashFraction(&net, crash, &crash_rng).ok());
       }
-      const TopologySnapshot narrow(net);
-      const TopologySnapshot wide = WideSnapshot(net);
+      const TopologySnapshot snap(net);
       const std::vector<PeerId> alive = net.AlivePeers();
       const std::vector<WalkRecord> live = SampleWalks(net, alive, seed);
       size_t walks_taken = 0;
@@ -218,19 +197,17 @@ TEST(BackendEquivalenceTest, WalksLockstepAcrossSeedsAndCrashLevels) {
       // The sweep must actually exercise the walk path, not just the
       // shared successor-list branch.
       EXPECT_GT(walks_taken, 50u) << "seed " << seed << " crash " << crash;
-      for (const TopologySnapshot* snap : {&narrow, &wide}) {
-        const std::vector<WalkRecord> frozen = SampleWalks(*snap, alive, seed);
-        ASSERT_EQ(live.size(), frozen.size());
-        for (size_t q = 0; q < live.size(); ++q) {
-          ASSERT_EQ(live[q].ok, frozen[q].ok) << "seed " << seed << " q " << q;
-          if (!live[q].ok) continue;
-          ASSERT_EQ(live[q].peer, frozen[q].peer)
-              << "seed " << seed << " q " << q;
-          ASSERT_EQ(live[q].steps, frozen[q].steps)
-              << "seed " << seed << " q " << q;
-          ASSERT_EQ(live[q].visited, frozen[q].visited)
-              << "visited sequences diverged, seed " << seed << " q " << q;
-        }
+      const std::vector<WalkRecord> frozen = SampleWalks(snap, alive, seed);
+      ASSERT_EQ(live.size(), frozen.size());
+      for (size_t q = 0; q < live.size(); ++q) {
+        ASSERT_EQ(live[q].ok, frozen[q].ok) << "seed " << seed << " q " << q;
+        if (!live[q].ok) continue;
+        ASSERT_EQ(live[q].peer, frozen[q].peer)
+            << "seed " << seed << " q " << q;
+        ASSERT_EQ(live[q].steps, frozen[q].steps)
+            << "seed " << seed << " q " << q;
+        ASSERT_EQ(live[q].visited, frozen[q].visited)
+            << "visited sequences diverged, seed " << seed << " q " << q;
       }
     }
   }
@@ -261,8 +238,7 @@ TEST(BackendEquivalenceTest, GapEstimatorMatches) {
     Network net = LinkedNetwork(220, seed);
     Rng crash_rng(seed ^ 0xabcULL);
     ASSERT_TRUE(CrashFraction(&net, 0.15, &crash_rng).ok());
-    const TopologySnapshot narrow(net);
-    const TopologySnapshot wide = WideSnapshot(net);
+    const TopologySnapshot snap(net);
     Rng rng(seed);  // Unused by the gap estimator; signature only.
     for (const uint32_t window : {4u, 16u, 64u}) {
       const GapSizeEstimator estimator(window);
@@ -270,9 +246,7 @@ TEST(BackendEquivalenceTest, GapEstimatorMatches) {
         const double live = estimator.Estimate(net, id, &rng);
         EXPECT_DOUBLE_EQ(live, ReferenceGapEstimate(net, id, window))
             << "window " << window << " peer " << id;
-        EXPECT_DOUBLE_EQ(live, estimator.Estimate(narrow, id, &rng))
-            << "window " << window << " peer " << id;
-        EXPECT_DOUBLE_EQ(live, estimator.Estimate(wide, id, &rng))
+        EXPECT_DOUBLE_EQ(live, estimator.Estimate(snap, id, &rng))
             << "window " << window << " peer " << id;
       }
     }

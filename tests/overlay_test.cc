@@ -117,61 +117,6 @@ TEST(MaintainerTest, RepairsDanglingLinksLazily) {
   }
 }
 
-TEST(MaintainerTest, PruneOnlyNeverSpendsSamplingBandwidth) {
-  Network net = UniformNetwork(300, 13);
-  auto overlay = std::make_shared<OscarOverlay>();
-  Rng rng(14);
-  for (PeerId id : net.AlivePeers()) {
-    ASSERT_TRUE(overlay->BuildLinks(&net, id, &rng).ok());
-  }
-  ASSERT_TRUE(CrashFraction(&net, 0.25, &rng).ok());
-  MaintenanceOptions options;
-  options.prune_only = true;
-  Maintainer maintainer(overlay, options);
-  auto report = maintainer.RunRound(&net, &rng);
-  ASSERT_TRUE(report.ok());
-  EXPECT_GT(report.value().pruned_links, 0u);
-  EXPECT_EQ(report.value().rebuilt_peers, 0u);
-  EXPECT_EQ(report.value().refreshed_peers, 0u);
-  EXPECT_EQ(report.value().sampling_steps, 0u);
-  EXPECT_FALSE(report.value().budget_exhausted);
-  // Tables only shrank: someone is left with an unfilled budget.
-  size_t under_budget = 0;
-  for (PeerId id : net.AlivePeers()) {
-    if (net.RemainingOutBudget(id) > 0) ++under_budget;
-  }
-  EXPECT_GT(under_budget, 0u);
-}
-
-TEST(MaintainerTest, SamplingBudgetExhaustsMidRound) {
-  Network net = UniformNetwork(300, 15);
-  auto overlay = std::make_shared<OscarOverlay>();
-  Rng rng(16);
-  for (PeerId id : net.AlivePeers()) {
-    ASSERT_TRUE(overlay->BuildLinks(&net, id, &rng).ok());
-  }
-  ASSERT_TRUE(CrashFraction(&net, 0.25, &rng).ok());
-  // A budget one rebuild can blow: the round must park at prune-only
-  // partway through, and pruning still runs for every alive peer.
-  MaintenanceOptions starved;
-  starved.max_sampling_steps_per_round = 1;
-  Maintainer maintainer(overlay, starved);
-  auto report = maintainer.RunRound(&net, &rng);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report.value().budget_exhausted);
-  EXPECT_GT(report.value().pruned_links, 0u);
-  EXPECT_GE(report.value().rebuilt_peers, 1u);
-  EXPECT_LT(report.value().rebuilt_peers, net.alive_count());
-  // The skipped peers keep their deficit; enough unbounded follow-up
-  // rounds top everyone back up (each round repairs a prefix).
-  MaintenanceOptions unbounded;
-  Maintainer follow_up(overlay, unbounded);
-  auto repaired = follow_up.RunRound(&net, &rng);
-  ASSERT_TRUE(repaired.ok());
-  EXPECT_FALSE(repaired.value().budget_exhausted);
-  EXPECT_GT(repaired.value().rebuilt_peers, report.value().rebuilt_peers);
-}
-
 TEST(MaintainerTest, ValidatesOptions) {
   Network net = UniformNetwork(16, 11);
   Rng rng(12);

@@ -1,10 +1,10 @@
 // Model-based tests of the ring index and of the mutable Network over
 // it. Fixed seeds drive random operation sequences; after every
 // operation the structure must agree with a naive reference model (a
-// std::set of ring entries), and its position index with the model's
-// order. Key pools are tiny and include both sides of the seam (0 and
-// UINT64_MAX), so duplicate keys and wrap-around ownership come up on
-// almost every step.
+// std::set of ring entries, plus per-peer link rows for the Network),
+// and its position index with the model's order. Key pools are tiny
+// and include both sides of the seam (0 and UINT64_MAX), so duplicate
+// keys and wrap-around ownership come up on almost every step.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "core/ring.h"
 #include "core/rng.h"
 #include "core/topology_snapshot.h"
+#include "overlay/overlay.h"
 
 namespace oscar {
 namespace {
@@ -157,27 +158,148 @@ TEST(RingModel, RandomOperationsKeepEntriesAndPositionsExact) {
   }
 }
 
-// Join, JoinMany, Crash, CrashMany, long links, freezes, and full and
-// delta RestoreInto on one Network, with CheckInvariants (ring order,
-// the position index, link reciprocity) after every step and the ring
-// compared with a model of the alive peers.
+// Naive link state of a Network: per-peer ordered out-rows (which may
+// dangle to dead peers) and in-sets of the alive holders, written
+// straight from the mutators' documented contracts.
+struct LinkModel {
+  std::vector<DegreeCaps> caps;
+  std::vector<bool> alive;
+  std::vector<std::vector<PeerId>> out;
+  std::vector<std::set<PeerId>> in;
+
+  void Join(DegreeCaps peer_caps) {
+    caps.push_back(peer_caps);
+    alive.push_back(true);
+    out.emplace_back();
+    in.emplace_back();
+  }
+  void ClearLongLinks(PeerId id) {
+    for (PeerId target : out[id]) {
+      if (alive[target]) in[target].erase(id);
+    }
+    out[id].clear();
+  }
+  void Crash(PeerId id) {
+    if (!alive[id]) return;
+    ClearLongLinks(id);
+    alive[id] = false;
+    in[id].clear();
+  }
+  bool AddLongLink(PeerId from, PeerId to) {
+    if (from == to || !alive[from] || !alive[to] ||
+        out[from].size() >= caps[from].max_out ||
+        in[to].size() >= caps[to].max_in ||
+        std::count(out[from].begin(), out[from].end(), to) != 0) {
+      return false;
+    }
+    out[from].push_back(to);
+    in[to].insert(from);
+    return true;
+  }
+  void ClearAllLongLinks() {
+    for (PeerId id = 0; id < out.size(); ++id) {
+      out[id].clear();
+      in[id].clear();
+    }
+  }
+  size_t PruneDeadLinks(PeerId id) {
+    const size_t before = out[id].size();
+    out[id].erase(std::remove_if(out[id].begin(), out[id].end(),
+                                 [&](PeerId t) { return !alive[t]; }),
+                  out[id].end());
+    return before - out[id].size();
+  }
+  double RelativeInLoad(PeerId id) const {
+    if (caps[id].max_in == 0) return 1.0;
+    return static_cast<double>(in[id].size()) / caps[id].max_in;
+  }
+  // Each candidate pair goes to its less-loaded peer first, then to the
+  // other one, until `budget` links landed.
+  size_t ApplyLinkPlan(PeerId from, const std::vector<LinkCandidate>& plan,
+                       uint32_t budget) {
+    size_t added = 0;
+    for (const LinkCandidate& c : plan) {
+      if (added >= budget) break;
+      const bool alternate_first =
+          RelativeInLoad(c.alternate) < RelativeInLoad(c.primary);
+      const PeerId first = alternate_first ? c.alternate : c.primary;
+      const PeerId second = alternate_first ? c.primary : c.alternate;
+      if (AddLongLink(from, first) || AddLongLink(from, second)) ++added;
+    }
+    return added;
+  }
+};
+
+void ExpectLinksMatchModel(const Network& net, const LinkModel& links) {
+  ASSERT_EQ(net.size(), links.out.size());
+  for (PeerId id = 0; id < net.size(); ++id) {
+    const PeerSpan out = net.OutLinks(id);
+    ASSERT_EQ(std::vector<PeerId>(out.begin(), out.end()), links.out[id])
+        << "out row of " << id;
+    const PeerSpan in = net.InLinks(id);
+    std::vector<PeerId> in_sorted(in.begin(), in.end());
+    std::sort(in_sorted.begin(), in_sorted.end());
+    ASSERT_EQ(in_sorted,
+              std::vector<PeerId>(links.in[id].begin(), links.in[id].end()))
+        << "in row of " << id;
+  }
+}
+
+// A candidate list over [0, n): p2c pairs, self, dead and repeated
+// candidates, with a budget from 0 to one past the list length.
+std::vector<LinkCandidate> DrawPlan(PeerId self, size_t n, Rng* rng,
+                                    uint32_t* budget) {
+  std::vector<LinkCandidate> plan;
+  const size_t length = 1 + rng->UniformInt(7);
+  for (size_t i = 0; i < length; ++i) {
+    const auto draw = [&] {
+      switch (rng->UniformInt(6)) {
+        case 0:
+          return self;
+        case 1:
+          if (!plan.empty()) {
+            return plan[rng->UniformInt(plan.size())].primary;
+          }
+          [[fallthrough]];
+        default:
+          return static_cast<PeerId>(rng->UniformInt(n));
+      }
+    };
+    LinkCandidate candidate;
+    candidate.primary = draw();
+    candidate.alternate =
+        rng->UniformInt(2) == 0 ? candidate.primary : draw();
+    plan.push_back(candidate);
+  }
+  *budget = static_cast<uint32_t>(rng->UniformInt(length + 2));
+  return plan;
+}
+
+// Join, JoinMany, Crash, CrashMany, every long-link mutator, freezes,
+// and full and delta RestoreInto on one Network, with CheckInvariants
+// (ring order, the position index, link reciprocity) after every step,
+// the ring compared with a model of the alive peers and every link row
+// with the LinkModel.
 TEST(NetworkModel, RandomLifecycleKeepsInvariants) {
   for (uint64_t seed = 42; seed <= 45; ++seed) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     Rng rng(seed);
     Network net;
     Model model;
+    LinkModel links;
     std::optional<TopologySnapshot> snap;
     Model snap_model;
+    LinkModel snap_links;
     const DegreeCaps caps{3, 3};
-    for (int step = 0; step < 250; ++step) {
+    for (int step = 0; step < 400; ++step) {
       SCOPED_TRACE(testing::Message() << "step " << step);
       const size_t n = net.size();
-      switch (rng.UniformInt(8)) {
+      switch (rng.UniformInt(13)) {
         case 0: {  // Join.
           const KeyId key = KeyId::FromRaw(DrawKey(&rng));
           const PeerId id = net.Join(key, caps);
           model.insert({key.raw, id});
+          links.Join(caps);
           break;
         }
         case 1: {  // JoinMany, k in [1, 5].
@@ -190,6 +312,7 @@ TEST(NetworkModel, RandomLifecycleKeepsInvariants) {
               net.JoinMany(keys, std::vector<DegreeCaps>(k, caps));
           for (size_t i = 0; i < k; ++i) {
             model.insert({keys[i].raw, static_cast<PeerId>(first + i)});
+            links.Join(caps);
           }
           break;
         }
@@ -198,6 +321,7 @@ TEST(NetworkModel, RandomLifecycleKeepsInvariants) {
           const PeerId id = static_cast<PeerId>(rng.UniformInt(n));
           net.Crash(id);
           model.erase({net.key(id).raw, id});
+          links.Crash(id);
           break;
         }
         case 3: {  // CrashMany with repeats and dead victims.
@@ -207,26 +331,33 @@ TEST(NetworkModel, RandomLifecycleKeepsInvariants) {
             victims.push_back(static_cast<PeerId>(rng.UniformInt(n)));
           }
           net.CrashMany(victims);
-          for (PeerId id : victims) model.erase({net.key(id).raw, id});
+          for (PeerId id : victims) {
+            model.erase({net.key(id).raw, id});
+            links.Crash(id);
+          }
           break;
         }
         case 4: {  // A few long links between random peers.
           if (n < 2) break;
           for (int i = 0; i < 4; ++i) {
-            net.AddLongLink(static_cast<PeerId>(rng.UniformInt(n)),
-                            static_cast<PeerId>(rng.UniformInt(n)));
+            const PeerId from = static_cast<PeerId>(rng.UniformInt(n));
+            const PeerId to = static_cast<PeerId>(rng.UniformInt(n));
+            ASSERT_EQ(net.AddLongLink(from, to), links.AddLongLink(from, to))
+                << from << " -> " << to;
           }
           break;
         }
         case 5:  // Freeze.
           snap.emplace(net);
           snap_model = model;
+          snap_links = links;
           ASSERT_TRUE(snap->Validate().ok()) << snap->Validate().message();
           break;
         case 6: {  // RestoreInto the working network: delta once armed.
           if (!snap.has_value()) break;
           snap->RestoreInto(&net);
           model = snap_model;
+          links = snap_links;
           const Status identity = snap->CheckRestoreIdentity(net);
           ASSERT_TRUE(identity.ok()) << identity.message();
           break;
@@ -237,11 +368,42 @@ TEST(NetworkModel, RandomLifecycleKeepsInvariants) {
           snap->RestoreInto(&fresh);
           net = std::move(fresh);
           model = snap_model;
+          links = snap_links;
+          break;
+        }
+        case 8: {  // ClearLongLinks of any peer, alive or dead.
+          if (n == 0) break;
+          const PeerId id = static_cast<PeerId>(rng.UniformInt(n));
+          net.ClearLongLinks(id);
+          links.ClearLongLinks(id);
+          break;
+        }
+        case 9:  // ClearAllLongLinks.
+          net.ClearAllLongLinks();
+          links.ClearAllLongLinks();
+          break;
+        case 10: {  // PruneDeadLinks of any peer.
+          if (n == 0) break;
+          const PeerId id = static_cast<PeerId>(rng.UniformInt(n));
+          ASSERT_EQ(net.PruneDeadLinks(id), links.PruneDeadLinks(id));
+          break;
+        }
+        case 11:
+        case 12: {  // ApplyLinkPlan from any peer.
+          if (n == 0) break;
+          const PeerId from = static_cast<PeerId>(rng.UniformInt(n));
+          uint32_t budget = 0;
+          const std::vector<LinkCandidate> plan =
+              DrawPlan(from, n, &rng, &budget);
+          ASSERT_EQ(net.ApplyLinkPlan(from, plan, budget),
+                    links.ApplyLinkPlan(from, plan, budget));
           break;
         }
       }
       const Status status = net.CheckInvariants();
       ASSERT_TRUE(status.ok()) << status.message();
+      ExpectLinksMatchModel(net, links);
+      if (testing::Test::HasFatalFailure()) return;
       ASSERT_EQ(net.ring().entries(),
                 std::vector<Ring::Entry>(model.begin(), model.end()));
       for (PeerId id = 0; id < net.size(); ++id) {

@@ -74,7 +74,7 @@ TEST(ReplicatedStoreTest, ReReplicateRestoresOwnerHitsAndCountsLosses) {
 TEST(LatencyModelTest, PricesRoutesAndTimeouts) {
   Network healthy = LinkedNetwork(300, 7);
   Rng rng(8);
-  LatencyModel model(healthy, LatencyOptions{}, &rng);
+  const LatencyModel model(healthy);
   const LatencyEvaluation eval =
       EvaluateLatency(healthy, GreedyRouter(), model, 200, &rng);
   EXPECT_GT(eval.mean_ms, 0.0);
@@ -82,13 +82,13 @@ TEST(LatencyModelTest, PricesRoutesAndTimeouts) {
   EXPECT_DOUBLE_EQ(eval.success_rate, 1.0);
 }
 
-TEST(LatencyModelTest, DelaysAreDeterministicPerSeed) {
+TEST(LatencyModelTest, DelaysAreAPureFunctionOfTheKey) {
   Network net = LinkedNetwork(100, 9);
-  Rng rng_a(10), rng_b(10);
-  LatencyModel a(net, LatencyOptions{}, &rng_a);
-  LatencyModel b(net, LatencyOptions{}, &rng_b);
+  const LatencyModel a(net);
+  const LatencyModel b(net);
   for (PeerId id : net.AlivePeers()) {
     EXPECT_DOUBLE_EQ(a.HopDelayMs(id), b.HopDelayMs(id));
+    EXPECT_DOUBLE_EQ(a.HopDelayMs(id), LatencyModel::DelayForKey(net.key(id)));
   }
 }
 

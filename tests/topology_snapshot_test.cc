@@ -285,47 +285,5 @@ TEST(TopologySnapshotTest, RouteOverSnapshotMatchesLiveNetwork) {
   }
 }
 
-TEST(TopologySnapshotTest, WideOffsetsRoundTripAndMatchNarrow) {
-  // The 64-bit CSR path can't be exercised by materializing >4 billion
-  // edges, so lower the promotion threshold until this network's edge
-  // total crosses it — the synthetic stand-in for a near-overflow edge
-  // count. Everything observable (reads, routes, restores) must be
-  // identical between a wide and a narrow snapshot of the same network.
-  Network net = LinkedNetwork(300, 44);
-  Rng rng(21);
-  ASSERT_TRUE(CrashFraction(&net, 0.1, &rng).ok());
-  size_t total_edges = 0;
-  for (PeerId id = 0; id < net.size(); ++id) {
-    total_edges += net.OutLinks(id).size();
-  }
-  ASSERT_GT(total_edges, 64u);
-
-  const TopologySnapshot narrow(net);
-  ASSERT_FALSE(narrow.wide_offsets());
-  const uint64_t prev = TopologySnapshot::SetWideOffsetThresholdForTest(64);
-  const TopologySnapshot wide(net);
-  TopologySnapshot::SetWideOffsetThresholdForTest(prev);
-  ASSERT_TRUE(wide.wide_offsets());
-
-  // Same CSR content through the dual-width offset view.
-  ExpectViewsAgree(net, wide);
-  for (PeerId id = 0; id < net.size(); ++id) {
-    EXPECT_EQ(ToVector(narrow.OutLinks(id)), ToVector(wide.OutLinks(id)))
-        << "peer " << id;
-    EXPECT_EQ(ToVector(narrow.InLinks(id)), ToVector(wide.InLinks(id)))
-        << "peer " << id;
-  }
-
-  // Full restore, then a delta restore after mutations, off the wide
-  // snapshot — both must reproduce the original network exactly.
-  Network restored = wide.Restore();
-  ExpectStructurallyEqual(net, restored);
-  Rng churn_rng(22);
-  ASSERT_TRUE(CrashFraction(&restored, 0.2, &churn_rng).ok());
-  restored.Join(KeyId::FromUnit(0.123), DegreeCaps{4, 4});
-  wide.RestoreInto(&restored);
-  ExpectStructurallyEqual(net, restored);
-}
-
 }  // namespace
 }  // namespace oscar

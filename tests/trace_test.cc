@@ -145,6 +145,22 @@ TEST(ColumnarTraceTest, ReaderRejectsCorruption) {
   EXPECT_FALSE(DecodeStatus("").ok());
 }
 
+TEST(ColumnarTraceTest, ReaderRejectsABlockCountPastTheFile) {
+  // Header, then a block (scope 0) declaring 2^32 - 1 events with no
+  // column bytes behind it: rejected before any record is allocated.
+  std::string forged("OTRC\x01\0\0\0B\0\0\0\0\xff\xff\xff\xff", 17);
+  const Status status = DecodeStatus(forged);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("block count"), std::string::npos)
+      << status.message();
+
+  // One event more than the bytes after the block header can hold.
+  std::string short_block("OTRC\x01\0\0\0B\0\0\0\0\x02\0\0\0", 17);
+  short_block.append(kOtraceEventBytes * 2 - 1, '\0');
+  EXPECT_NE(DecodeStatus(short_block).message().find("block count"),
+            std::string::npos);
+}
+
 /// Replays decoded records through a fresh CsvTraceSink, exactly like
 /// `oscar_trace --csv` does.
 std::string ReplayAsCsv(const std::string& otrace_bytes) {

@@ -294,10 +294,7 @@ int RunCli(const std::vector<std::string>& args) {
   }
 
   auto decoded = ReadTraceFile(path);
-  if (!decoded.ok()) {
-    std::cerr << "oscar_trace: " << decoded.status().message() << "\n";
-    return 2;
-  }
+  if (!decoded.ok()) return RejectUsage(decoded.status().message());
   const TraceContents& contents = decoded.value();
 
   if (csv) {
