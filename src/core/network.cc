@@ -21,9 +21,18 @@ PeerId Network::AppendPeer(KeyId key, DegreeCaps caps) {
   in_base_.push_back(in_base_.back() + caps.max_in);
   out_count_.push_back(0);
   in_count_.push_back(0);
+  dangling_out_.push_back(0);
   out_slab_.resize(out_base_.back());
   in_slab_.resize(in_base_.back());
   return id;
+}
+
+void Network::MarkHoldersDangling(PeerId id) {
+  const PeerId* in_row = in_slab_.data() + in_base_[id];
+  for (uint32_t i = 0; i < in_count_[id]; ++i) {
+    ++dangling_out_[in_row[i]];
+    Touch(in_row[i]);
+  }
 }
 
 PeerId Network::Join(KeyId key, DegreeCaps caps) {
@@ -50,6 +59,7 @@ PeerId Network::JoinMany(const std::vector<KeyId>& keys,
 void Network::Crash(PeerId id) {
   if (!alive_[id]) return;
   ClearLongLinks(id);  // Release the in-degree this peer's links held.
+  MarkHoldersDangling(id);
   alive_[id] = 0;
   in_count_[id] = 0;
   ring_.Remove(keys_[id], id);
@@ -61,6 +71,7 @@ void Network::CrashMany(const std::vector<PeerId>& victims) {
   for (PeerId id : victims) {
     if (!alive_[id]) continue;
     ClearLongLinks(id);
+    MarkHoldersDangling(id);
     alive_[id] = 0;
     in_count_[id] = 0;
     Touch(id);
@@ -117,6 +128,7 @@ void Network::ClearLongLinks(PeerId id) {
     }
   }
   out_count_[id] = 0;
+  dangling_out_[id] = 0;
   Touch(id);
 }
 
@@ -126,6 +138,7 @@ void Network::ClearAllLongLinks() {
     bool changed = false;
     if (out_count_[id] != 0) {
       out_count_[id] = 0;
+      dangling_out_[id] = 0;
       changed = true;
     }
     if (in_count_[id] != 0) {
@@ -166,8 +179,8 @@ Status Network::CheckInvariants() const {
   const size_t n = keys_.size();
   // Parallel arrays grow in lockstep; bases are (N+1) cap prefix sums.
   if (caps_.size() != n || alive_.size() != n || out_count_.size() != n ||
-      in_count_.size() != n || out_base_.size() != n + 1 ||
-      in_base_.size() != n + 1) {
+      in_count_.size() != n || dangling_out_.size() != n ||
+      out_base_.size() != n + 1 || in_base_.size() != n + 1) {
     return Status::Error("parallel peer arrays out of lockstep");
   }
   if (out_base_[0] != 0 || in_base_[0] != 0) {
@@ -203,11 +216,13 @@ Status Network::CheckInvariants() const {
       return Status::Error(PeerContext("dead peer holds link state", id));
     }
     const PeerSpan out = OutLinks(id);
+    uint32_t dangling = 0;
     for (size_t i = 0; i < out.size(); ++i) {
       const PeerId target = out[i];
       if (target >= n) {
         return Status::Error(PeerContext("out-link beyond peer table", id));
       }
+      dangling += alive_[target] ? 0 : 1;
       if (target == id) {
         return Status::Error(PeerContext("self link", id));
       }
@@ -228,6 +243,9 @@ Status Network::CheckInvariants() const {
               PeerContext("out-link not mirrored exactly once in target", id));
         }
       }
+    }
+    if (dangling != dangling_out_[id]) {
+      return Status::Error(PeerContext("dangling out-link count drift", id));
     }
     // Reciprocity, in -> out: every in-link entry names an alive holder
     // whose out row contains this peer.
@@ -286,15 +304,15 @@ Status Network::CheckInvariants() const {
 }
 
 size_t Network::PruneDeadLinks(PeerId id) {
+  const size_t dropped = dangling_out_[id];
+  if (dropped == 0) return 0;
   PeerId* out_row = out_slab_.data() + out_base_[id];
   PeerId* out_end = out_row + out_count_[id];
   PeerId* kept = std::remove_if(out_row, out_end,
                                 [&](PeerId t) { return alive_[t] == 0; });
-  const size_t dropped = static_cast<size_t>(out_end - kept);
-  if (dropped != 0) {
-    out_count_[id] = static_cast<uint32_t>(kept - out_row);
-    Touch(id);
-  }
+  out_count_[id] = static_cast<uint32_t>(kept - out_row);
+  dangling_out_[id] = 0;
+  Touch(id);
   return dropped;
 }
 

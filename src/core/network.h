@@ -13,6 +13,13 @@
 // deallocations), and snapshot freeze/restore are flat array copies.
 // This is what keeps million-peer growth cache-dense; the per-peer
 // std::vector layout it replaces spent its time in allocator traffic.
+//
+// Beside the rows the table keeps one derived counter per peer,
+// dangling_out_: the dead targets among its out-links. Every mutator
+// keeps it exact in the pass it already makes (a crash bumps the
+// victim's in-link holders, a clear or prune zeroes it), so a random
+// walk step reads its alive degree in O(1) instead of probing every
+// neighbor's liveness.
 
 #ifndef OSCAR_CORE_NETWORK_H_
 #define OSCAR_CORE_NETWORK_H_
@@ -75,7 +82,8 @@ class Network {
 
   /// Removes a peer from the ring and releases the in-degree its
   /// out-links held. Dangling in-links *to* it stay in the owners'
-  /// out slabs — routers discover them as dead probes.
+  /// out slabs — routers discover them as dead probes — and each owner's
+  /// dangling_out count rises by one.
   void Crash(PeerId id);
 
   /// Crashes every peer in `victims` (already-dead entries are skipped)
@@ -95,6 +103,11 @@ class Network {
   DegreeCaps caps(PeerId id) const { return caps_[id]; }
   /// Long in-links currently held against `id` (== InLinks(id).size()).
   uint32_t in_degree(PeerId id) const { return in_count_[id]; }
+  /// How many of `id`'s long out-links point at dead peers. Ring
+  /// neighbors and in-link holders are alive by invariant, so this is
+  /// the only part of a neighbor row a random walk must discount: with
+  /// it a walk step counts its alive neighbors in O(1).
+  uint32_t dangling_out(PeerId id) const { return dangling_out_[id]; }
 
   /// Long out-links of `id` in insertion order (may dangle to dead
   /// peers). Valid until the next Join/JoinMany (slab growth may move
@@ -159,6 +172,8 @@ class Network {
                        uint32_t budget);
 
   /// Drops out-links of `id` that point at dead peers; returns the count.
+  /// O(1) when dangling_out(id) is 0, as it is for most peers in a
+  /// maintenance round that prunes every alive peer.
   size_t PruneDeadLinks(PeerId id);
 
   /// Remaining out-link budget of an alive peer.
@@ -171,7 +186,8 @@ class Network {
   /// layer (common/audit.h). Verifies every invariant the SoA layout
   /// and the link protocol promise: parallel arrays in lockstep, slab
   /// bases equal to cap prefix sums, degree counters within caps and
-  /// matching their slab rows, no self/duplicate out-links, dead peers
+  /// matching their slab rows, each dangling_out count equal to the
+  /// dead targets in its out row, no self/duplicate out-links, dead peers
   /// holding no link state, in/out reciprocity between alive peers
   /// (every in-link entry backed by exactly one live out-link and vice
   /// versa), and ring <-> peer-table agreement (sorted, exactly the
@@ -195,6 +211,11 @@ class Network {
 
   /// Appends one row to every parallel array (no ring insert).
   PeerId AppendPeer(KeyId key, DegreeCaps caps);
+
+  /// Crash bookkeeping for the holders of `id`'s in-links: each one's
+  /// out-link to `id` is about to dangle. Holders are Touched although
+  /// their out rows do not change, so a delta restore resets the count.
+  void MarkHoldersDangling(PeerId id);
 
   /// Records `id` as structurally dirty relative to the snapshot this
   /// network was last restored from. Every mutator calls it; it is a
@@ -223,6 +244,8 @@ class Network {
   std::vector<uint64_t> in_base_{0};
   std::vector<uint32_t> out_count_;
   std::vector<uint32_t> in_count_;
+  // Dead targets among the live out_count_ entries of each row.
+  std::vector<uint32_t> dangling_out_;
   std::vector<PeerId> out_slab_;
   std::vector<PeerId> in_slab_;
   Ring ring_;

@@ -10,7 +10,9 @@
 // (route steps, random walks, the gap estimator) instead call Visit()
 // once and run a template over the concrete backend, reading each
 // peer's links through NeighborRowOf below — the one place the
-// neighbor order routers and walks depend on is written down.
+// neighbor order routers and walks depend on is written down. A walk
+// row also carries the peer's dangling out-link count, which both
+// backends keep, so a walk step's degree and neighbor pick are O(1).
 //
 // A view does not own its backend: it is valid only while the Network
 // or TopologySnapshot it was built from is alive, and reads through a
@@ -106,11 +108,42 @@ class NetworkView {
 /// three parts; random walks use all four — walking only out-links
 /// concentrates the stationary distribution on already-popular peers.
 /// The spans are valid until the backend next mutates.
+///
+/// Only out-links can be dead: ring neighbors are on the ring, and
+/// in-link holders are alive because a dead peer holds no link state.
+/// A walk row carries the backend's dangling_out count, so its alive
+/// neighbors are counted in O(1) and indexed in O(1) whenever no
+/// out-link dangles (CountAlive/KthAlive); only a row with a dead
+/// out-link scans, and then only its out part.
 struct NeighborRow {
   PeerId ring[2] = {0, 0};
   uint32_t ring_count = 0;
+  // Dead entries of `out`; set for walk rows (with_in_links) only.
+  uint32_t dangling = 0;
   PeerSpan out;
   PeerSpan in;
+
+  /// Alive entries of a walk row, repeats included.
+  size_t CountAlive() const {
+    return ring_count + out.size() - dangling + in.size();
+  }
+
+  /// The k-th (0-based) alive entry of a walk row in ForEach order;
+  /// precondition k < CountAlive().
+  template <typename Topo>
+  PeerId KthAlive(const Topo& topo, size_t k) const {
+    if (k < ring_count) return ring[k];
+    k -= ring_count;
+    const size_t alive_out = out.size() - dangling;
+    if (k >= alive_out) return in[k - alive_out];
+    if (dangling == 0) return out[k];
+    for (PeerId target : out) {
+      if (!topo.alive(target)) continue;
+      if (k == 0) return target;
+      --k;
+    }
+    return 0;  // Unreachable while dangling matches the out row.
+  }
 
   /// Invokes fn(neighbor) in row order. Routers and walks are
   /// order-sensitive, so this order is part of the simulation's output.
@@ -126,7 +159,7 @@ struct NeighborRow {
 /// position `pos` (topo.ring().PosOf(id), one O(1) read of the ring's
 /// position index on either backend; the caller looks it up once so a
 /// route step can reuse it for its ownership test). `with_in_links`
-/// adds the in-link span random walks need.
+/// adds the in-link span and the dangling count random walks need.
 template <typename Topo>
 inline NeighborRow NeighborRowOf(const Topo& topo, PeerId id, uint32_t pos,
                                  bool with_in_links) {
@@ -134,13 +167,18 @@ inline NeighborRow NeighborRowOf(const Topo& topo, PeerId id, uint32_t pos,
   const Ring& ring = topo.ring();
   const size_t n = ring.size();
   if (n >= 2 && pos != Ring::kNotOnRing) {
-    const PeerId succ = ring.at((pos + 1) % n).id;
-    const PeerId pred = ring.at((pos + n - 1) % n).id;
+    // Compare-and-wrap, not `%`: a 64-bit division per neighbor is the
+    // dearest instruction of a route step.
+    const PeerId succ = ring.at(pos + 1 == n ? 0 : pos + 1).id;
+    const PeerId pred = ring.at(pos == 0 ? n - 1 : pos - 1).id;
     row.ring[row.ring_count++] = succ;
     if (pred != succ) row.ring[row.ring_count++] = pred;
   }
   row.out = topo.OutLinks(id);
-  if (with_in_links) row.in = topo.InLinks(id);
+  if (with_in_links) {
+    row.in = topo.InLinks(id);
+    row.dangling = topo.dangling_out(id);
+  }
   return row;
 }
 

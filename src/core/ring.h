@@ -88,7 +88,8 @@ class Ring {
     const uint32_t pos = PosOf(id);
     const size_t n = entries_.size();
     if (pos == kNotOnRing || n < 2) return std::nullopt;
-    return entries_[clockwise ? (pos + 1) % n : (pos + n - 1) % n].id;
+    if (clockwise) return entries_[pos + 1 == n ? 0 : pos + 1].id;
+    return entries_[pos == 0 ? n - 1 : pos - 1].id;
   }
 
   /// The alive peer closest to `key` by shortest-way ring distance

@@ -1,5 +1,9 @@
 #include "core/simulation.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <chrono>
 #include <memory>
@@ -16,6 +20,22 @@
 #include "routing/greedy_router.h"
 
 namespace oscar {
+namespace {
+
+/// Hands the pages of freed heap blocks back to the OS. A checkpoint
+/// rewire frees a frozen snapshot and one plan per peer, O(N * degree)
+/// bytes. Once glibc has freed one large block it serves blocks of that
+/// size from the heap instead of mmap, and it keeps freed heap pages
+/// resident, so without this every further growth in one process (a
+/// benchmark repeating its growth, a harness growing per row) starts
+/// from a larger resident set. A no-op on other C libraries.
+void ReleaseFreedPages() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
+}  // namespace
 
 QuerySample SampleQuery(NetworkView net, const SearchOptions& options,
                         const std::vector<PeerId>& alive, Rng* rng) {
@@ -288,6 +308,7 @@ Result<GrowthResult> Simulation::Run() {
               std::chrono::steady_clock::now() - rewire_start)
               .count();
       ++result.rewire_count;
+      ReleaseFreedPages();
       // A global rewire touches every peer's link state — the widest
       // mutation in the system, and the one the structural audit is
       // cheapest relative to.

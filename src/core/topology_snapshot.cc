@@ -18,6 +18,7 @@ TopologySnapshot::TopologySnapshot(const Network& net)
     : keys_(net.keys_),
       caps_(net.caps_),
       alive_(net.alive_),
+      dangling_out_(net.dangling_out_),
       ring_(net.ring()),
       token_(NextSnapshotToken()) {
   const size_t n = keys_.size();
@@ -46,7 +47,7 @@ TopologySnapshot::TopologySnapshot(const Network& net)
 
 Status TopologySnapshot::Validate() const {
   const size_t n = keys_.size();
-  if (caps_.size() != n || alive_.size() != n) {
+  if (caps_.size() != n || alive_.size() != n || dangling_out_.size() != n) {
     return Status::Error("snapshot parallel arrays out of lockstep");
   }
   if (out_offsets_.size() != n + 1 || in_offsets_.size() != n + 1) {
@@ -81,11 +82,13 @@ Status TopologySnapshot::Validate() const {
                            std::to_string(id));
     }
     const PeerSpan out = OutLinks(id);
+    uint32_t dangling = 0;
     for (PeerId target : out) {
       if (target >= n) {
         return Status::Error("out-edge beyond peer table at peer " +
                              std::to_string(id));
       }
+      dangling += alive_[target] ? 0 : 1;
       if (target == id) {
         return Status::Error("self edge at peer " + std::to_string(id));
       }
@@ -98,6 +101,10 @@ Status TopologySnapshot::Validate() const {
                                std::to_string(id));
         }
       }
+    }
+    if (dangling != dangling_out_[id]) {
+      return Status::Error("dangling out-edge count drift at peer " +
+                           std::to_string(id));
     }
     const PeerSpan in = InLinks(id);
     for (PeerId holder : in) {
@@ -159,6 +166,10 @@ Status TopologySnapshot::CheckRestoreIdentity(const Network& net) const {
       return Status::Error("restored liveness diverges at peer " +
                            std::to_string(id));
     }
+    if (net.dangling_out_[id] != full.dangling_out_[id]) {
+      return Status::Error("restored dangling count diverges at peer " +
+                           std::to_string(id));
+    }
     // Link order is part of the contract (walk order is physics), so
     // rows must match element-wise, not as sets.
     const PeerSpan a_out = net.OutLinks(id);
@@ -199,6 +210,7 @@ void TopologySnapshot::RestoreInto(Network* net) const {
     net->keys_[id] = keys_[id];
     net->caps_[id] = caps_[id];
     net->alive_[id] = alive_[id];
+    net->dangling_out_[id] = dangling_out_[id];
     const PeerSpan out = OutLinks(id);
     std::copy(out.begin(), out.end(),
               net->out_slab_.data() + net->out_base_[id]);
@@ -217,6 +229,7 @@ void TopologySnapshot::RestoreInto(Network* net) const {
     net->keys_.resize(n);
     net->caps_.resize(n);
     net->alive_.resize(n);
+    net->dangling_out_.resize(n);
     net->out_base_.resize(n + 1);
     net->in_base_.resize(n + 1);
     net->out_count_.resize(n);
@@ -236,6 +249,7 @@ void TopologySnapshot::RestoreInto(Network* net) const {
     net->keys_ = keys_;
     net->caps_ = caps_;
     net->alive_ = alive_;
+    net->dangling_out_ = dangling_out_;
     net->out_base_.resize(n + 1);
     net->in_base_.resize(n + 1);
     net->out_base_[0] = 0;

@@ -9,7 +9,9 @@
 // regrowing or deep-copying it.
 //
 // CSR offsets are 64-bit, the width Network's slab bases use, so no
-// edge total can overflow them.
+// edge total can overflow them. The snapshot also freezes each peer's
+// dangling_out count, so a walk over it reads the alive degree in O(1)
+// exactly as a walk over the live Network does.
 
 #ifndef OSCAR_CORE_TOPOLOGY_SNAPSHOT_H_
 #define OSCAR_CORE_TOPOLOGY_SNAPSHOT_H_
@@ -38,6 +40,8 @@ class TopologySnapshot {
   KeyId key(PeerId id) const { return keys_[id]; }
   bool alive(PeerId id) const { return alive_[id] != 0; }
   DegreeCaps caps(PeerId id) const { return caps_[id]; }
+  /// Network::dangling_out at freeze time: dead targets in OutLinks(id).
+  uint32_t dangling_out(PeerId id) const { return dangling_out_[id]; }
   const Ring& ring() const { return ring_; }
 
   /// Long out-links of `id`, in the exact order the live Network held
@@ -88,7 +92,8 @@ class TopologySnapshot {
   /// Deep structural self-check, the snapshot half of the OSCAR_AUDIT
   /// layer (common/audit.h): CSR offsets sized to the peer table,
   /// monotone and closed by the edge totals, row lengths within the
-  /// declared caps, in-edges only from alive holders, out->in
+  /// declared caps, dangling_out counts equal to the dead targets of
+  /// each out row, in-edges only from alive holders, out->in
   /// reciprocity between alive endpoints, and the ring and its position
   /// index agreeing with the peer table. Returns the first violation
   /// found.
@@ -109,6 +114,7 @@ class TopologySnapshot {
   std::vector<KeyId> keys_;
   std::vector<DegreeCaps> caps_;
   std::vector<uint8_t> alive_;
+  std::vector<uint32_t> dangling_out_;
   // CSR link storage: row i spans [offsets[i], offsets[i + 1]).
   std::vector<uint64_t> out_offsets_;
   std::vector<uint64_t> in_offsets_;

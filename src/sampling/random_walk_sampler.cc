@@ -40,26 +40,6 @@ struct WalkOutcome {
   uint64_t steps = 0;
 };
 
-template <typename Topo>
-size_t CountAlive(const Topo& topo, const NeighborRow& row) {
-  size_t count = 0;
-  row.ForEach([&](PeerId n) { count += topo.alive(n) ? 1 : 0; });
-  return count;
-}
-
-/// The k-th (0-based) alive peer of `row`; precondition k < count.
-template <typename Topo>
-PeerId KthAlive(const Topo& topo, const NeighborRow& row, size_t k) {
-  PeerId picked = 0;
-  size_t seen = 0;
-  row.ForEach([&](PeerId n) {
-    if (!topo.alive(n)) return;
-    if (seen == k) picked = n;
-    ++seen;
-  });
-  return picked;
-}
-
 /// The degree-corrected (Metropolis-Hastings, clamped) random walk over
 /// the undirected gossip graph; mixes in O(log N) on a small world.
 /// Membership is tested at stride intervals only — testing every step
@@ -67,6 +47,9 @@ PeerId KthAlive(const Topo& topo, const NeighborRow& row, size_t k) {
 /// The uniform pick needs only (alive count, k-th alive neighbor) and
 /// the MH correction only the two neighborhood sizes, so both rows are
 /// read in place and the current peer's row is reused after a move.
+/// Both reads are O(1) per row (NeighborRow::CountAlive/KthAlive): the
+/// backend's dangling_out count stands in for a liveness probe of every
+/// neighbor, and only a row with a dead out-link scans its out part.
 template <typename Topo>
 WalkOutcome Walk(const Topo& topo, PeerId origin, KeyId from, KeyId to,
                  std::vector<PeerId>* visit_trace, Rng* rng) {
@@ -76,7 +59,7 @@ WalkOutcome Walk(const Topo& topo, PeerId origin, KeyId from, KeyId to,
   const uint32_t total_steps = kBurnIn + kMaxWalkSteps;
   NeighborRow row = NeighborRowOf(topo, current, topo.ring().PosOf(current),
                                   /*with_in_links=*/true);
-  size_t degree = CountAlive(topo, row);
+  size_t degree = row.CountAlive();
   for (uint32_t step = 0; step < total_steps; ++step) {
     if (step >= kBurnIn && (step - kBurnIn) % kTestStride == 0 &&
         InClockwiseSegment(topo.key(current), from, to)) {
@@ -84,12 +67,12 @@ WalkOutcome Walk(const Topo& topo, PeerId origin, KeyId from, KeyId to,
       break;
     }
     if (degree == 0) break;
-    const PeerId proposal = KthAlive(
-        topo, row, static_cast<size_t>(rng->UniformInt(degree)));
+    const PeerId proposal =
+        row.KthAlive(topo, static_cast<size_t>(rng->UniformInt(degree)));
     const NeighborRow proposal_row =
         NeighborRowOf(topo, proposal, topo.ring().PosOf(proposal),
                       /*with_in_links=*/true);
-    const size_t proposal_degree = CountAlive(topo, proposal_row);
+    const size_t proposal_degree = proposal_row.CountAlive();
     ++out.steps;
     if (proposal_degree == 0) continue;
     const double accept =

@@ -346,6 +346,13 @@ Result<ScenarioResult> RunScenarioOn(const std::string& name,
           if (maintenance_status.ok()) maintenance_status = round.status();
           return;
         }
+        // A round crashes nothing but prunes and rebuilds links around
+        // every crash so far: the dangling counts move most here.
+        if (AuditEnabled()) {
+          const Status audit = net.CheckInvariants();
+          OSCAR_AUDIT(audit.ok(), "scenario maintenance round: " +
+                                      audit.message());
+        }
         maintenance_rounds.push_back({engine.now(), round.value()});
         if (sink != nullptr) {
           TraceEvent event;

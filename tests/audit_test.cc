@@ -38,6 +38,9 @@ struct NetworkTestAccess {
   }
   static void BumpOutCount(Network* net, PeerId id) { ++net->out_count_[id]; }
   static void BumpInCount(Network* net, PeerId id) { ++net->in_count_[id]; }
+  static void SetDanglingOut(Network* net, PeerId id, uint32_t count) {
+    net->dangling_out_[id] = count;
+  }
   static void SetOutSlabEntry(Network* net, PeerId id, size_t slot,
                               PeerId value) {
     net->out_slab_[net->out_base_[id] + slot] = value;
@@ -63,6 +66,9 @@ struct TopologySnapshotTestAccess {
   }
   static void BreakOffsetMonotonicity(TopologySnapshot* snap, PeerId id) {
     ++snap->out_offsets_[id];
+  }
+  static void BumpDanglingOut(TopologySnapshot* snap, PeerId id) {
+    ++snap->dangling_out_[id];
   }
   static void CorruptRingPos(TopologySnapshot* snap, PeerId id) {
     RingTestAccess::SetPos(&snap->ring_, id, snap->ring_.PosOf(id) + 1);
@@ -170,6 +176,33 @@ TEST(NetworkInvariants, DetectInCountDrift) {
   EXPECT_FALSE(net.CheckInvariants().ok());
 }
 
+// An alive peer with at least one out-link to a dead target.
+PeerId PeerWithDanglingOutLink(const Network& net) {
+  for (PeerId id : net.AlivePeers()) {
+    if (net.dangling_out(id) > 0) return id;
+  }
+  ADD_FAILURE() << "no peer with a dangling out-link";
+  return 0;
+}
+
+TEST(NetworkInvariants, DetectDanglingCountDrift) {
+  Network net = LinkedNetwork(80, 42);
+  Rng rng(7);
+  ASSERT_TRUE(CrashFraction(&net, 0.2, &rng).ok());
+  ASSERT_TRUE(net.CheckInvariants().ok());
+  // A missed crash bump: a dead target the count does not know about.
+  const PeerId holder = PeerWithDanglingOutLink(net);
+  const uint32_t dangling = net.dangling_out(holder);
+  NetworkTestAccess::SetDanglingOut(&net, holder, 0);
+  EXPECT_FALSE(net.CheckInvariants().ok()) << "count below the dead targets";
+  // A missed prune reset: a count on a row with no dead target.
+  NetworkTestAccess::SetDanglingOut(&net, holder, dangling);
+  net.PruneDeadLinks(holder);
+  ASSERT_TRUE(net.CheckInvariants().ok());
+  NetworkTestAccess::SetDanglingOut(&net, holder, 1);
+  EXPECT_FALSE(net.CheckInvariants().ok()) << "count above the dead targets";
+}
+
 TEST(NetworkInvariants, DetectReciprocityBreak) {
   Network net = LinkedNetwork(60, 43);
   // Redirect an out-link at a different alive target without updating
@@ -260,6 +293,12 @@ TEST(SnapshotValidate, DetectsEachCorruptionClass) {
                                                net.AlivePeers().front());
     EXPECT_FALSE(snap.Validate().ok()) << "ring_pos drift";
   }
+  {
+    TopologySnapshot snap(net);
+    TopologySnapshotTestAccess::BumpDanglingOut(&snap,
+                                                PeerWithLiveOutLink(net));
+    EXPECT_FALSE(snap.Validate().ok()) << "dangling count drift";
+  }
 }
 
 TEST(RestoreIdentity, DeltaRestoreMatchesFullRestore) {
@@ -289,6 +328,21 @@ TEST(RestoreIdentity, DetectsDivergence) {
   snap.RestoreInto(&scratch);
   const PeerId victim = PeerWithLiveOutLink(scratch);
   NetworkTestAccess::SetOutSlabEntry(&scratch, victim, 0, victim);
+  EXPECT_FALSE(snap.CheckRestoreIdentity(scratch).ok());
+}
+
+TEST(RestoreIdentity, DetectsDanglingCountDivergence) {
+  Network net = LinkedNetwork(80, 44);
+  Rng rng(9);
+  ASSERT_TRUE(CrashFraction(&net, 0.2, &rng).ok());
+  const TopologySnapshot snap(net);
+  Network scratch;
+  snap.RestoreInto(&scratch);
+  ASSERT_TRUE(snap.CheckRestoreIdentity(scratch).ok());
+  // Same rows, a stale count: what a delta restore leaves when a crash
+  // forgets to journal the holders of the victim's in-links.
+  const PeerId holder = PeerWithDanglingOutLink(scratch);
+  NetworkTestAccess::SetDanglingOut(&scratch, holder, 0);
   EXPECT_FALSE(snap.CheckRestoreIdentity(scratch).ok());
 }
 

@@ -209,6 +209,12 @@ struct LinkModel {
                   out[id].end());
     return before - out[id].size();
   }
+  // Dead targets in the ordered out row.
+  uint32_t Dangling(PeerId id) const {
+    return static_cast<uint32_t>(
+        std::count_if(out[id].begin(), out[id].end(),
+                      [&](PeerId t) { return !alive[t]; }));
+  }
   double RelativeInLoad(PeerId id) const {
     if (caps[id].max_in == 0) return 1.0;
     return static_cast<double>(in[id].size()) / caps[id].max_in;
@@ -242,6 +248,8 @@ void ExpectLinksMatchModel(const Network& net, const LinkModel& links) {
     ASSERT_EQ(in_sorted,
               std::vector<PeerId>(links.in[id].begin(), links.in[id].end()))
         << "in row of " << id;
+    ASSERT_EQ(net.dangling_out(id), links.Dangling(id))
+        << "dangling count of " << id;
   }
 }
 
@@ -279,7 +287,7 @@ std::vector<LinkCandidate> DrawPlan(PeerId self, size_t n, Rng* rng,
 // and full and delta RestoreInto on one Network, with CheckInvariants
 // (ring order, the position index, link reciprocity) after every step,
 // the ring compared with a model of the alive peers and every link row
-// with the LinkModel.
+// and dangling count with the LinkModel.
 TEST(NetworkModel, RandomLifecycleKeepsInvariants) {
   for (uint64_t seed = 42; seed <= 45; ++seed) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
@@ -352,6 +360,10 @@ TEST(NetworkModel, RandomLifecycleKeepsInvariants) {
           snap_model = model;
           snap_links = links;
           ASSERT_TRUE(snap->Validate().ok()) << snap->Validate().message();
+          for (PeerId id = 0; id < snap->size(); ++id) {
+            ASSERT_EQ(snap->dangling_out(id), links.Dangling(id))
+                << "frozen dangling count of " << id;
+          }
           break;
         case 6: {  // RestoreInto the working network: delta once armed.
           if (!snap.has_value()) break;

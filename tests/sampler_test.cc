@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "churn/churn.h"
+#include "core/network_view.h"
+#include "core/topology_snapshot.h"
 #include "overlay/kleinberg/kleinberg_overlay.h"
 #include "sampling/oracle_sampler.h"
 #include "sampling/random_walk_sampler.h"
@@ -71,6 +77,114 @@ TEST(RandomWalkSamplerTest, TinySegmentFallsBackToRouting) {
   auto sample = sampler.SampleInSegment(net, origin, from, to, &rng);
   ASSERT_TRUE(sample.ok());
   EXPECT_EQ(sample.value().peer, ring.at(42).id);
+}
+
+// The walk's constants, as random_walk_sampler.cc defines them.
+constexpr uint32_t kRefBurnIn = 12;
+constexpr uint32_t kRefTestStride = 6;
+constexpr uint32_t kRefMaxWalkSteps = 72;
+constexpr double kRefMhFloor = 0.3;
+constexpr uint32_t kRefSuccessorListCutoff = 48;
+
+// Reference for NeighborRow::CountAlive/KthAlive: the alive entries of
+// `id`'s walk row, found by probing every entry's liveness.
+template <typename Topo>
+std::vector<PeerId> ScannedAliveRow(const Topo& topo, PeerId id) {
+  std::vector<PeerId> alive;
+  NeighborRowOf(topo, id, topo.ring().PosOf(id), /*with_in_links=*/true)
+      .ForEach([&](PeerId n) {
+        if (topo.alive(n)) alive.push_back(n);
+      });
+  return alive;
+}
+
+// The Metropolis-Hastings walk written over scanned rows, drawing from
+// `rng` exactly as the sampler does; returns the visited positions.
+template <typename Topo>
+std::vector<PeerId> ReferenceWalk(const Topo& topo, PeerId origin,
+                                  KeyId from, KeyId to, Rng* rng) {
+  std::vector<PeerId> visits = {origin};
+  PeerId current = origin;
+  std::vector<PeerId> row = ScannedAliveRow(topo, current);
+  for (uint32_t step = 0; step < kRefBurnIn + kRefMaxWalkSteps; ++step) {
+    if (step >= kRefBurnIn && (step - kRefBurnIn) % kRefTestStride == 0 &&
+        InClockwiseSegment(topo.key(current), from, to)) {
+      break;
+    }
+    if (row.empty()) break;
+    const PeerId proposal = row[rng->UniformInt(row.size())];
+    std::vector<PeerId> proposal_row = ScannedAliveRow(topo, proposal);
+    if (proposal_row.empty()) continue;
+    const double accept =
+        std::max(kRefMhFloor, static_cast<double>(row.size()) /
+                                  static_cast<double>(proposal_row.size()));
+    if (rng->NextDouble() < accept) {
+      current = proposal;
+      row = std::move(proposal_row);
+      visits.push_back(current);
+    }
+  }
+  return visits;
+}
+
+// Holds the O(1) row reads and the sampler's walk to the scanning
+// reference over one backend.
+template <typename Topo>
+void ExpectWalkMatchesReference(const Topo& topo, uint64_t seed) {
+  for (PeerId id = 0; id < topo.size(); ++id) {
+    const NeighborRow row =
+        NeighborRowOf(topo, id, topo.ring().PosOf(id), /*with_in_links=*/true);
+    const std::vector<PeerId> alive = ScannedAliveRow(topo, id);
+    ASSERT_EQ(row.CountAlive(), alive.size()) << "peer " << id;
+    for (size_t k = 0; k < alive.size(); ++k) {
+      ASSERT_EQ(row.KthAlive(topo, k), alive[k])
+          << "peer " << id << ", k " << k;
+    }
+  }
+  const std::vector<PeerId> peers = NetworkView(topo).AlivePeers();
+  Rng draw(seed);
+  for (int walk = 0; walk < 40; ++walk) {
+    const PeerId origin = peers[draw.UniformInt(peers.size())];
+    const double start = draw.NextDouble();
+    const KeyId from = KeyId::FromUnit(start);
+    const KeyId to = KeyId::FromUnit(start + 0.4 - (start > 0.6 ? 1.0 : 0.0));
+    // Smaller segments are served from the successor list, not walked.
+    ASSERT_GT(topo.ring().CountInSegment(from, to), kRefSuccessorListCutoff);
+    std::vector<PeerId> visits;
+    RandomWalkOptions options;
+    options.visit_trace = &visits;
+    Rng walk_rng(seed * 1000 + static_cast<uint64_t>(walk));
+    Rng reference_rng = walk_rng;
+    ASSERT_TRUE(RandomWalkSegmentSampler(options)
+                    .SampleInSegment(topo, origin, from, to, &walk_rng)
+                    .ok());
+    ASSERT_EQ(visits, ReferenceWalk(topo, origin, from, to, &reference_rng))
+        << "walk " << walk;
+  }
+}
+
+TEST(RandomWalkSamplerTest, O1RowReadsAndWalksMatchScanningReference) {
+  for (const double crash : {0.0, 0.15, 0.4}) {
+    SCOPED_TRACE(testing::Message() << "crash level " << crash);
+    Network net = LinkedNetwork(400, 13);
+    Rng crash_rng(14);
+    ASSERT_TRUE(CrashFraction(&net, crash, &crash_rng).ok());
+    // Crashes leave rows with and without dead out-links side by side.
+    size_t dangling_rows = 0;
+    for (PeerId id : net.AlivePeers()) {
+      dangling_rows += net.dangling_out(id) > 0 ? 1 : 0;
+    }
+    if (crash > 0.0) {
+      EXPECT_GT(dangling_rows, 0u);
+      EXPECT_LT(dangling_rows, net.alive_count());
+    } else {
+      EXPECT_EQ(dangling_rows, 0u);
+    }
+    ExpectWalkMatchesReference(net, 15);
+    if (testing::Test::HasFatalFailure()) return;
+    ExpectWalkMatchesReference(TopologySnapshot(net), 16);
+    if (testing::Test::HasFatalFailure()) return;
+  }
 }
 
 TEST(SizeEstimatorTest, OracleIsExact) {
