@@ -8,8 +8,7 @@
 #include "keyspace/gnutella_distribution.h"
 #include "overlay/kleinberg/kleinberg_overlay.h"
 #include "overlay/oscar/oscar_overlay.h"
-#include "routing/backtracking_router.h"
-#include "routing/greedy_router.h"
+#include "routing/router.h"
 #include "sampling/oracle_sampler.h"
 #include "sampling/random_walk_sampler.h"
 #include "churn/churn.h"
@@ -53,14 +52,13 @@ BENCHMARK(BM_RingSegmentCount)->Arg(10000);
 
 void BM_GreedyRoute(benchmark::State& state) {
   Network net = MakeLinkedNetwork(static_cast<size_t>(state.range(0)), 5);
-  GreedyRouter router;
   Rng rng(6);
   const std::vector<PeerId> peers = net.AlivePeers();
   for (auto _ : state) {
     const PeerId source =
         peers[static_cast<size_t>(rng.UniformInt(peers.size()))];
-    const RouteResult r =
-        router.Route(net, source, KeyId::FromUnit(rng.NextDouble()));
+    const RouteResult r = Route(Routing::kGreedy, net, source,
+                                KeyId::FromUnit(rng.NextDouble()));
     benchmark::DoNotOptimize(r);
   }
 }
@@ -70,14 +68,13 @@ void BM_BacktrackingRouteUnderChurn(benchmark::State& state) {
   Network net = MakeLinkedNetwork(10000, 7);
   Rng churn_rng(8);
   (void)CrashFraction(&net, 0.33, &churn_rng);
-  BacktrackingRouter router;
   Rng rng(9);
   const std::vector<PeerId> peers = net.AlivePeers();
   for (auto _ : state) {
     const PeerId source =
         peers[static_cast<size_t>(rng.UniformInt(peers.size()))];
-    const RouteResult r =
-        router.Route(net, source, KeyId::FromUnit(rng.NextDouble()));
+    const RouteResult r = Route(Routing::kBacktracking, net, source,
+                                KeyId::FromUnit(rng.NextDouble()));
     benchmark::DoNotOptimize(r);
   }
 }

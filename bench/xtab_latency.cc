@@ -13,8 +13,6 @@
 #include "common/table_printer.h"
 #include "churn/churn.h"
 #include "core/simulation.h"
-#include "routing/backtracking_router.h"
-#include "routing/greedy_router.h"
 #include "sim/latency_model.h"
 
 int main() {
@@ -63,13 +61,9 @@ int main() {
           return 2;
         }
       }
-      const LatencyModel model(net);
-      const LatencyEvaluation eval =
-          churn > 0.0
-              ? EvaluateLatency(net, BacktrackingRouter(), model,
-                                scale.queries, &rng)
-              : EvaluateLatency(net, GreedyRouter(), model, scale.queries,
-                                &rng);
+      const LatencyEvaluation eval = EvaluateLatency(
+          net, churn > 0.0 ? Routing::kBacktracking : Routing::kGreedy,
+          scale.queries, &rng);
       table.AddRow({name, FormatPercent(churn, 0),
                     FormatDouble(eval.mean_ms, 0),
                     FormatDouble(eval.p50_ms, 0),

@@ -16,7 +16,6 @@
 #include "core/simulation.h"
 #include "overlay/maintenance.h"
 #include "overlay/oscar/oscar_overlay.h"
-#include "routing/backtracking_router.h"
 
 int main() {
   using namespace oscar;
@@ -88,7 +87,7 @@ int main() {
       SearchOptions search;
       search.num_queries = scale.queries / 2;
       search.query_distribution = keys.value().get();
-      last_eval = EvaluateSearch(net, BacktrackingRouter(), search, &rng);
+      last_eval = EvaluateSearch(net, Routing::kBacktracking, search, &rng);
     }
     costs.push_back(last_eval.avg_cost);
     table.AddRow(

@@ -14,7 +14,6 @@
 #include "common/table_printer.h"
 #include "core/simulation.h"
 #include "metrics/routing_load_metrics.h"
-#include "routing/greedy_router.h"
 
 int main() {
   using namespace oscar;
@@ -65,7 +64,7 @@ int main() {
       options.query_distribution = keys.value().get();
       Rng rng(scale.seed + 99);
       const RoutingLoadReport report = EvaluateRoutingLoad(
-          sim.network(), GreedyRouter(), options, &rng);
+          sim.network(), Routing::kGreedy, options, &rng);
       table.AddRow({name, degrees, FormatDouble(report.mean_load, 1),
                     FormatDouble(report.peak_to_mean, 1),
                     FormatDouble(report.budget_relative_gini, 3),

@@ -5,20 +5,17 @@
 #include "common/string_util.h"
 
 namespace oscar {
+namespace {
 
-Result<size_t> CrashFraction(Network* net, double fraction, Rng* rng) {
-  if (fraction < 0.0 || fraction >= 1.0) {
-    return Status::Error(
-        StrCat("crash fraction must be in [0, 1), got ", fraction));
-  }
+/// Crashes `count` uniformly chosen alive peers, never the last one:
+/// min(count, alive - 1) victims. Returns the number crashed.
+size_t CrashUniform(Network* net, size_t count, Rng* rng) {
   std::vector<PeerId> alive = net->AlivePeers();
-  size_t to_crash = static_cast<size_t>(
-      fraction * static_cast<double>(alive.size()));
-  to_crash = std::min(to_crash, alive.size() > 0 ? alive.size() - 1 : 0);
+  const size_t to_crash =
+      std::min(count, alive.empty() ? 0 : alive.size() - 1);
   // Partial Fisher-Yates: the first `to_crash` entries become a uniform
   // sample without replacement. The crashes themselves consume no rng,
-  // so batching them after the draws (one ring pass via CrashMany
-  // instead of a ring erase per victim) leaves the result identical.
+  // so they run as one batch after the draws.
   for (size_t i = 0; i < to_crash; ++i) {
     const size_t j =
         i + static_cast<size_t>(rng->UniformInt(alive.size() - i));
@@ -29,8 +26,6 @@ Result<size_t> CrashFraction(Network* net, double fraction, Rng* rng) {
   return to_crash;
 }
 
-namespace {
-
 /// One churn round: `leaves` uniform crashes (never the last alive
 /// peer) then `joins` wired joins. Shared by the synchronous rounds and
 /// the event-scheduled handler.
@@ -39,17 +34,7 @@ Status OneChurnRound(Network* net, size_t leaves, size_t joins,
                      const DegreeDistribution& degrees,
                      const RebuildFn& rebuild, Rng* rng, size_t* left,
                      size_t* joined) {
-  std::vector<PeerId> alive = net->AlivePeers();
-  const size_t to_crash =
-      std::min(leaves, alive.size() > 1 ? alive.size() - 1 : 0);
-  for (size_t i = 0; i < to_crash; ++i) {
-    const size_t j =
-        i + static_cast<size_t>(rng->UniformInt(alive.size() - i));
-    std::swap(alive[i], alive[j]);
-  }
-  alive.resize(to_crash);
-  net->CrashMany(alive);
-  *left += to_crash;
+  *left += CrashUniform(net, leaves, rng);
   for (size_t i = 0; i < joins; ++i) {
     const PeerId id = net->Join(keys.Sample(rng), degrees.Sample(rng));
     const Status status = rebuild(net, id, rng);
@@ -60,6 +45,17 @@ Status OneChurnRound(Network* net, size_t leaves, size_t joins,
 }
 
 }  // namespace
+
+Result<size_t> CrashFraction(Network* net, double fraction, Rng* rng) {
+  if (fraction < 0.0 || fraction >= 1.0) {
+    return Status::Error(
+        StrCat("crash fraction must be in [0, 1), got ", fraction));
+  }
+  return CrashUniform(
+      net,
+      static_cast<size_t>(fraction * static_cast<double>(net->alive_count())),
+      rng);
+}
 
 Result<RollingChurnReport> RollingChurn(Network* net,
                                         const RollingChurnOptions& options,

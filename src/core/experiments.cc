@@ -13,8 +13,6 @@
 #include "overlay/kleinberg/kleinberg_overlay.h"
 #include "overlay/mercury/mercury_overlay.h"
 #include "overlay/oscar/oscar_overlay.h"
-#include "routing/backtracking_router.h"
-#include "routing/greedy_router.h"
 
 namespace oscar {
 namespace {
@@ -186,7 +184,7 @@ Result<std::vector<SearchCostRow>> RunSearchCostVsSize(
           // Same router as the churn rows: on an intact network the
           // fault-aware DFS degenerates to pure nearest-first greedy
           // with zero waste, so the churn deltas compare like to like.
-          eval = EvaluateSearch(*frozen, BacktrackingRouter(), search,
+          eval = EvaluateSearch(*frozen, Routing::kBacktracking, search,
                                 &query_rng);
         } else {
           frozen->RestoreInto(&scratch);  // Crash it, keep growing.
@@ -202,7 +200,7 @@ Result<std::vector<SearchCostRow>> RunSearchCostVsSize(
           auto crash_result = CrashFraction(&scratch, churn, &crash_rng);
           if (!crash_result.ok()) return crash_result.status();
           const TopologySnapshot crashed(scratch);
-          eval = EvaluateSearch(crashed, BacktrackingRouter(), search,
+          eval = EvaluateSearch(crashed, Routing::kBacktracking, search,
                                 &query_rng);
         }
         row.avg_cost = eval.avg_cost;

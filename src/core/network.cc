@@ -56,21 +56,11 @@ PeerId Network::JoinMany(const std::vector<KeyId>& keys,
   return first;
 }
 
-void Network::Crash(PeerId id) {
-  if (!alive_[id]) return;
-  ClearLongLinks(id);  // Release the in-degree this peer's links held.
-  MarkHoldersDangling(id);
-  alive_[id] = 0;
-  in_count_[id] = 0;
-  ring_.Remove(keys_[id], id);
-  Touch(id);
-}
-
 void Network::CrashMany(const std::vector<PeerId>& victims) {
   size_t newly_dead = 0;
   for (PeerId id : victims) {
     if (!alive_[id]) continue;
-    ClearLongLinks(id);
+    ClearLongLinks(id);  // Release the in-degree this peer's links held.
     MarkHoldersDangling(id);
     alive_[id] = 0;
     in_count_[id] = 0;
@@ -211,7 +201,7 @@ Status Network::CheckInvariants() const {
     if (in_count_[id] > caps_[id].max_in) {
       return Status::Error(PeerContext("in degree exceeds cap", id));
     }
-    // Crash() clears both sides; dead peers hold no link state.
+    // CrashMany() clears both sides; dead peers hold no link state.
     if (!alive_[id] && (out_count_[id] != 0 || in_count_[id] != 0)) {
       return Status::Error(PeerContext("dead peer holds link state", id));
     }

@@ -80,18 +80,14 @@ class Network {
   PeerId JoinMany(const std::vector<KeyId>& keys,
                   const std::vector<DegreeCaps>& caps);
 
-  /// Removes a peer from the ring and releases the in-degree its
-  /// out-links held. Dangling in-links *to* it stay in the owners'
-  /// out slabs — routers discover them as dead probes — and each owner's
-  /// dangling_out count rises by one.
-  void Crash(PeerId id);
-
-  /// Crashes every peer in `victims` (already-dead entries are skipped)
-  /// with per-victim link surgery but ONE ring filter pass, so a
+  /// Crashes every peer in `victims` (already-dead entries are
+  /// skipped), the one crash path. Each victim leaves the ring and
+  /// releases the in-degree its out-links held. Dangling in-links *to*
+  /// it stay in the owners' out slabs — routers discover them as dead
+  /// probes — and each owner's dangling_out count rises by one. Link
+  /// surgery is per victim but the ring is filtered in ONE pass, so a
   /// churn-figure crash level costs O(victims * degree + ring) instead
-  /// of the O(victims * ring) that per-victim ring erases pay. The
-  /// resulting network is identical to calling Crash() on each victim
-  /// in order.
+  /// of the O(victims * ring) that per-victim ring erases would pay.
   void CrashMany(const std::vector<PeerId>& victims);
 
   const Ring& ring() const { return ring_; }

@@ -1,7 +1,7 @@
 // NetworkView: one read interface over the two topology backends — a
 // live, mutable Network and a frozen TopologySnapshot. It is a cheap
 // value type (two pointers) constructed implicitly from either backend,
-// so every read-side consumer (routers, steppers, samplers, size
+// so every read-side consumer (route steppers, samplers, size
 // estimators, structural metrics) is written once and runs unchanged
 // against a growing network or a shared snapshot. Both backends expose
 // the same Ring, so ring queries are forwarded without translation.

@@ -61,18 +61,6 @@ void Ring::InsertMany(std::vector<Entry> added) {
   }
 }
 
-void Ring::Remove(KeyId key, PeerId id) {
-  const Entry entry{key.raw, id};
-  const size_t at = static_cast<size_t>(
-      std::lower_bound(entries_.begin(), entries_.end(), entry) -
-      entries_.begin());
-  if (at == entries_.size() || !(entries_[at] == entry)) return;
-  // Shift the tail down one slot and renumber it in the same pass.
-  for (size_t i = at; i + 1 < entries_.size(); ++i) Put(i, entries_[i + 1]);
-  entries_.pop_back();
-  pos_[id] = kNotOnRing;
-}
-
 std::optional<PeerId> Ring::OwnerOf(KeyId key) const {
   if (entries_.empty()) return std::nullopt;
   const size_t n = entries_.size();

@@ -7,9 +7,10 @@
 // is one array load on a live Network and on a frozen snapshot alike.
 // Every mutator keeps it exact inside the pass it already makes: an
 // entry that moves is renumbered where it is written, so a single
-// Insert or Remove pays O(size) for the shifted tail (the same order as
-// the sorted-vector shift itself), and the batched InsertMany and
-// RemoveIdsIf renumber in their one merge or filter pass. Each id may
+// Insert pays O(size) for the shifted tail (the same order as the
+// sorted-vector shift itself), and the batched InsertMany and
+// RemoveIdsIf renumber in their one merge or filter pass. RemoveIdsIf
+// is the only removal. Each id may
 // sit on the ring at most once (Network's peers do).
 
 #ifndef OSCAR_CORE_RING_H_
@@ -51,13 +52,9 @@ class Ring {
   /// Network::JoinMany is the caller that makes batched joins cheap.
   /// Precondition: no id in `added` is on the ring or repeated.
   void InsertMany(std::vector<Entry> added);
-  /// Removes the entry (key, id); a no-op when it is absent.
-  void Remove(KeyId key, PeerId id);
-
-  /// Removes every entry whose id satisfies `pred` in one filter pass —
-  /// O(size) total instead of O(size) per removal, the batched form
-  /// Network::CrashMany uses. Survivor order is unchanged, so the
-  /// result is identical to removing the same entries one by one.
+  /// Removes every entry whose id satisfies `pred` in one filter pass,
+  /// O(size) however many entries go — Network::CrashMany's ring
+  /// update. Survivor order is unchanged.
   template <typename Pred>
   void RemoveIdsIf(Pred pred) {
     size_t put = 0;

@@ -17,7 +17,6 @@
 #include "degree/spiky_degree.h"
 #include "degree/stepped_degree.h"
 #include "keyspace/gnutella_distribution.h"
-#include "routing/greedy_router.h"
 
 namespace oscar {
 namespace {
@@ -52,7 +51,7 @@ QuerySample SampleQuery(NetworkView net, const SearchOptions& options,
   return sample;
 }
 
-SearchEvaluation EvaluateSearch(NetworkView net, const Router& router,
+SearchEvaluation EvaluateSearch(NetworkView net, Routing routing,
                                 const SearchOptions& options, Rng* rng) {
   SearchEvaluation eval;
   const std::vector<PeerId> alive = net.AlivePeers();
@@ -64,7 +63,7 @@ SearchEvaluation EvaluateSearch(NetworkView net, const Router& router,
   size_t successes = 0;
   for (size_t q = 0; q < options.num_queries; ++q) {
     const QuerySample query = SampleQuery(net, options, alive, rng);
-    const RouteResult route = router.Route(net, query.source, query.key);
+    const RouteResult route = Route(routing, net, query.source, query.key);
     if (route.success) ++successes;
     costs.push_back(route.Cost());
     wasted_total += route.wasted;
@@ -208,7 +207,6 @@ Result<GrowthResult> Simulation::Run() {
 
   Rng rng(config_.seed);
   GrowthResult result;
-  const GreedyRouter router;
   size_t next_checkpoint = 0;
   const uint32_t threads = config_.rewire_threads != 0
                                ? config_.rewire_threads
@@ -321,7 +319,8 @@ Result<GrowthResult> Simulation::Run() {
       SearchOptions search;
       search.num_queries = config_.queries_per_checkpoint;
       search.query_distribution = config_.key_distribution.get();
-      checkpoint.search = EvaluateSearch(network_, router, search, &rng);
+      checkpoint.search =
+          EvaluateSearch(network_, Routing::kGreedy, search, &rng);
       result.checkpoints.push_back(checkpoint);
       if (config_.checkpoint_hook) {
         const Status status = config_.checkpoint_hook(

@@ -55,11 +55,12 @@ struct SearchEvaluation {
   size_t num_queries = 0;
 };
 
-/// Routes queries from random alive sources and aggregates costs.
-/// Takes the topology through NetworkView, so it routes over a live
-/// network or a frozen snapshot alike — the churn figure evaluates its
-/// crash levels over snapshots.
-SearchEvaluation EvaluateSearch(NetworkView net, const Router& router,
+/// Routes queries from random alive sources and aggregates costs. The
+/// one synchronous query loop: the routing-load and latency evaluators
+/// are per_route observers over it. Takes the topology through
+/// NetworkView, so it routes over a live network or a frozen snapshot
+/// alike — the churn figure evaluates its crash levels over snapshots.
+SearchEvaluation EvaluateSearch(NetworkView net, Routing routing,
                                 const SearchOptions& options, Rng* rng);
 
 /// Factory for the named key distributions the harnesses sweep:

@@ -3,11 +3,11 @@
 #include <algorithm>
 
 #include "common/stats.h"
+#include "core/simulation.h"
 
 namespace oscar {
 
-RoutingLoadReport EvaluateRoutingLoad(NetworkView net,
-                                      const Router& router,
+RoutingLoadReport EvaluateRoutingLoad(NetworkView net, Routing routing,
                                       const RoutingLoadOptions& options,
                                       Rng* rng) {
   RoutingLoadReport report;
@@ -15,18 +15,16 @@ RoutingLoadReport EvaluateRoutingLoad(NetworkView net,
   if (alive.empty() || options.num_queries == 0) return report;
 
   std::vector<double> load(net.size(), 0.0);
-  for (size_t q = 0; q < options.num_queries; ++q) {
-    const PeerId source =
-        alive[static_cast<size_t>(rng->UniformInt(alive.size()))];
-    const KeyId key = options.query_distribution != nullptr
-                          ? options.query_distribution->Sample(rng)
-                          : KeyId::FromUnit(rng->NextDouble());
-    const RouteResult route = router.Route(net, source, key);
+  SearchOptions search;
+  search.num_queries = options.num_queries;
+  search.query_distribution = options.query_distribution;
+  search.per_route = [&load](const RouteResult& route) {
     // Everyone who forwarded the message pays; the terminal only serves.
     for (size_t i = 0; i + 1 < route.path.size(); ++i) {
       load[route.path[i]] += 1.0;
     }
-  }
+  };
+  EvaluateSearch(net, routing, search, rng);
 
   std::vector<double> loads, capacities, relative;
   loads.reserve(alive.size());

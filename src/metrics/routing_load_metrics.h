@@ -1,5 +1,7 @@
 // Routing-load metrics (extension X7): every forwarded message charged
-// to the forwarding peer, under a skewed query workload.
+// to the forwarding peer, under a skewed query workload. The queries
+// are EvaluateSearch's (a per_route observer counts the forwards), so
+// the load table and the search-cost tables draw queries one way.
 
 #ifndef OSCAR_METRICS_ROUTING_LOAD_METRICS_H_
 #define OSCAR_METRICS_ROUTING_LOAD_METRICS_H_
@@ -35,8 +37,7 @@ struct RoutingLoadReport {
   double load_capacity_correlation = 0.0;
 };
 
-RoutingLoadReport EvaluateRoutingLoad(NetworkView net,
-                                      const Router& router,
+RoutingLoadReport EvaluateRoutingLoad(NetworkView net, Routing routing,
                                       const RoutingLoadOptions& options,
                                       Rng* rng);
 

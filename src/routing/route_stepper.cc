@@ -253,4 +253,33 @@ bool BacktrackingStepper::FailDelivery(NetworkView net) {
   return true;
 }
 
+// ---- Whole routes --------------------------------------------------------
+
+const RouteResult& GreedyStepper::Run(NetworkView net, PeerId source,
+                                      KeyId target) {
+  Start(net, source, target);
+  const size_t max_steps = 4 * net.alive_count() + 16;
+  for (size_t step = 0; step < max_steps && !done_; ++step) Step(net);
+  if (!done_) Abandon(net);
+  return result_;
+}
+
+const RouteResult& BacktrackingStepper::Run(NetworkView net, PeerId source,
+                                            KeyId target) {
+  Start(net, source, target);
+  while (!done_ && !OverBudget(net)) Step(net);
+  if (!done_) Abandon(net);
+  return result_;
+}
+
+RouteResult Route(Routing routing, NetworkView net, PeerId source,
+                  KeyId target) {
+  if (routing == Routing::kGreedy) {
+    GreedyStepper stepper;
+    return stepper.Run(net, source, target);
+  }
+  BacktrackingStepper stepper;
+  return stepper.Run(net, source, target);
+}
+
 }  // namespace oscar

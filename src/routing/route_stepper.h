@@ -5,10 +5,12 @@
 // inject failures *between* hops (a next-hop peer crashing while the
 // message is in flight).
 //
-// GreedyRouter::Route and BacktrackingRouter::Route are implemented by
-// driving these steppers to completion with the routers' historical
-// message budgets, so whole-path results are unchanged by construction;
-// the stepper-vs-route equivalence test guards the property.
+// Run drives a stepper to completion under its algorithm's message
+// budget, which is written only here: greedy takes at most
+// 4 * alive + 16 steps, backtracking at most 8 * alive + 64 messages.
+// Route (router.h), the serve route phase and the message engine all
+// run lookups through these steppers and budgets; the stepper-vs-Run
+// equivalence test guards the drive loop.
 //
 // Each Step picks the view's backend once and runs one template over
 // it (StepOn), so a live Network and a frozen TopologySnapshot share a
@@ -45,23 +47,35 @@ struct RouteStep {
 //  - Step(net) advances the route by one decision. Precondition:
 //    !done(). Every call re-checks whether the current peer owns the
 //    target against `net` — in O(1), from the peer's ring position — so
-//    liveness changes between steps are observed (identical to the
-//    whole-path routers while `net` is unchanged during a route).
+//    liveness changes between steps are observed (identical to Run
+//    while `net` is unchanged during a route).
 //  - Abandon(net) finishes the route in its current state — the caller's
-//    message budget ran out. Mirrors the whole-path routers'
-//    loop-exhaustion path: success iff the route happens to sit on the
-//    owner.
+//    message budget ran out: success iff the route happens to sit on
+//    the owner.
+//  - Run(net, source, target) routes one whole lookup: Start, Step
+//    until done or over the budget, then Abandon. It reuses the
+//    stepper's storage and returns result().
 //  - result() is the accumulated route result, final once done();
 //    current() is the peer holding the query.
 
-/// The GreedyRouter algorithm, one hop per Step (capacity-aware band
-/// relaxation and lazy dead-probe charging included).
+/// Greedy routing, one hop per Step: forward to an alive neighbor
+/// strictly closer to the target key. Among candidates making
+/// near-best progress (within a band of the best distance), the
+/// highest-capacity one is chosen, which sheds forwarding load onto
+/// peers that declared bigger budgets; under constant caps this is
+/// classic closest-first greedy. Dead long links that looked better
+/// than the hop taken are charged as probes. Every alive peer keeps
+/// alive ring neighbors, so strict progress is always possible and the
+/// route ends at the owner.
 class GreedyStepper {
  public:
   void Start(NetworkView net, PeerId source, KeyId target);
   RouteStep Step(NetworkView net);
   bool done() const { return done_; }
   void Abandon(NetworkView net);
+  /// Runs a whole route; the budget (4 * alive + 16 steps) is only a
+  /// safety net against substrate bugs.
+  const RouteResult& Run(NetworkView net, PeerId source, KeyId target);
   const RouteResult& result() const { return result_; }
   PeerId current() const { return current_; }
 
@@ -75,15 +89,29 @@ class GreedyStepper {
   bool done_ = true;
 };
 
-/// The BacktrackingRouter algorithm (fault-aware depth-first greedy),
-/// one forward or backtrack move per Step. The message engine drives
-/// this one.
+/// Fault-aware routing for crashed networks (depth-first greedy), one
+/// forward or backtrack move per Step. At each peer, candidates are
+/// tried nearest-to-target first; probes to dead neighbors cost a
+/// wasted message, visited peers are never re-entered, and a peer out
+/// of useful neighbors returns the query (also a wasted message).
+/// Alive ring neighbors keep the search space connected, so every
+/// lookup eventually succeeds: the paper's "remains navigable" claim,
+/// priced in messages. The message engine drives this one.
 class BacktrackingStepper {
  public:
   void Start(NetworkView net, PeerId source, KeyId target);
   RouteStep Step(NetworkView net);
   bool done() const { return done_; }
   void Abandon(NetworkView net);
+  /// Whether the route has spent its budget of 8 * alive + 64 messages
+  /// (hops plus wasted). Read against `net` now, so a caller whose
+  /// alive count changes mid-route (the message engine under churn)
+  /// sees the current budget.
+  bool OverBudget(NetworkView net) const {
+    return result_.hops + result_.wasted >= 8 * net.alive_count() + 64;
+  }
+  /// Runs a whole route: Step while !done() and !OverBudget(net).
+  const RouteResult& Run(NetworkView net, PeerId source, KeyId target);
   /// Reverts the route one level after a failed delivery: the message
   /// to the current position never arrived (its holder crashed). The
   /// failed hop is refunded (when it was a forward) and recharged as

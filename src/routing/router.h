@@ -1,17 +1,18 @@
-// Router strategy interface. A route targets a key; it succeeds when it
-// reaches the alive peer that owns the key. Probes to crashed neighbors
-// and backtracking moves are charged as `wasted` traffic so the churn
+// Whole-route results and the one entry point that runs a lookup to
+// completion. A route targets a key; it succeeds when it reaches the
+// alive peer that owns the key. Probes to crashed neighbors and
+// backtracking moves are charged as `wasted` traffic so the churn
 // figures can report cost including wasted messages.
 //
-// Routes read the topology through NetworkView, so the same algorithm
-// runs against a live Network (implicit conversion keeps existing call
-// sites unchanged) or a frozen TopologySnapshot.
+// Route picks the algorithm and runs its stepper (route_stepper.h)
+// under that algorithm's message budget. Routes read the topology
+// through NetworkView, so the same algorithm runs against a live
+// Network or a frozen TopologySnapshot.
 
 #ifndef OSCAR_ROUTING_ROUTER_H_
 #define OSCAR_ROUTING_ROUTER_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/network_view.h"
@@ -29,13 +30,15 @@ struct RouteResult {
   double Cost() const { return static_cast<double>(hops) + wasted; }
 };
 
-class Router {
- public:
-  virtual ~Router() = default;
-  virtual RouteResult Route(NetworkView net, PeerId source,
-                            KeyId target) const = 0;
-  virtual std::string name() const = 0;
-};
+/// The two routing algorithms: capacity-aware greedy for intact rings,
+/// fault-aware depth-first greedy (backtracking) for crashed ones.
+enum class Routing { kGreedy, kBacktracking };
+
+/// Routes one lookup from `source` to the owner of `target` with a
+/// fresh stepper of the chosen algorithm (GreedyStepper::Run or
+/// BacktrackingStepper::Run).
+RouteResult Route(Routing routing, NetworkView net, PeerId source,
+                  KeyId target);
 
 }  // namespace oscar
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "routing/greedy_router.h"
+#include "routing/router.h"
 
 namespace oscar {
 namespace {
@@ -120,7 +120,7 @@ Result<SegmentSample> RandomWalkSegmentSampler::SampleInSegment(
                       18446744073709551616.0;
   const KeyId probe =
       KeyId::FromRaw(from.raw + KeyId::FromUnit(rng->NextDouble() * span).raw);
-  const RouteResult route = GreedyRouter().Route(net, walk.current, probe);
+  const RouteResult route = Route(Routing::kGreedy, net, walk.current, probe);
   steps += route.hops + route.wasted;
   PeerId landed = route.terminal;
   if (!InClockwiseSegment(net.key(landed), from, to)) {

@@ -57,7 +57,6 @@ Status LoadGenerator::RoutePhase(ServeReport* report) {
   LatencyRecorder recorder(threads);
   // One stepper per worker: a stepper holds its in-flight route state.
   std::vector<GreedyStepper> steppers(threads);
-  const size_t max_steps = 4 * alive + 16;
 
   PoolGauge gauge;
   const auto wall_start = std::chrono::steady_clock::now();
@@ -73,15 +72,8 @@ Status LoadGenerator::RoutePhase(ServeReport* report) {
         const KeyId key =
             hot ? hot->Sample(&rng) : KeyId::FromRaw(rng.Next());
 
-        GreedyStepper& stepper = steppers[worker];
-        stepper.Start(view, source, key);
-        for (size_t step = 0; step < max_steps && !stepper.done(); ++step) {
-          stepper.Step(view);
-        }
-        if (!stepper.done()) stepper.Abandon(view);
-
+        const RouteResult& result = steppers[worker].Run(view, source, key);
         RoutedLookup& out = routed_[i];
-        const RouteResult& result = stepper.result();
         out.messages = result.hops + result.wasted;
         out.success = result.success;
         out.owner = snapshot_.OwnerOf(key).value_or(source);

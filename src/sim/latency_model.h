@@ -1,14 +1,15 @@
 // Wall-clock pricing of routes (extension X10): per-peer lognormal
 // forwarding delays plus a fixed probe timeout charged for every wasted
-// message (dead probe or backtrack).
+// message (dead probe or backtrack). The hop price is one pure function
+// of the peer's ring key, shared by EvaluateLatency and the
+// message-level simulator.
 
 #ifndef OSCAR_SIM_LATENCY_MODEL_H_
 #define OSCAR_SIM_LATENCY_MODEL_H_
 
 #include <cstddef>
-#include <vector>
 
-#include "core/network.h"
+#include "core/network_view.h"
 #include "core/rng.h"
 #include "routing/router.h"
 
@@ -19,24 +20,14 @@ class LatencyModel {
   /// Cost of probing a dead peer.
   static constexpr double kDeadProbeMs = 500.0;
 
-  /// Assigns each peer a lognormal delay (median 25 ms, sigma 0.8)
-  /// derived from a hash of its ring key — a property of the peer, not
-  /// of any rng stream position. This keeps delays identical between a
-  /// network and a crashed copy of it even when a crash pass consumed
-  /// rng draws in between (the common-random-numbers discipline the
-  /// churn comparisons rely on).
-  explicit LatencyModel(const Network& net);
-
-  double HopDelayMs(PeerId id) const { return delays_ms_[id]; }
-
-  /// The delay assigned to a peer whose ring key is `key` — a pure
-  /// function of the key. Shared with the message-level simulator so
-  /// peers joining mid-run get the same stable, stream-independent
-  /// delays the constructor precomputes.
+  /// The forwarding delay of a peer whose ring key is `key`: lognormal
+  /// (median 25 ms, sigma 0.8) from a hash of the key — a property of
+  /// the peer, not of any rng stream position. This keeps delays
+  /// identical between a network and a crashed copy of it even when a
+  /// crash pass consumed rng draws in between (the common-random-numbers
+  /// discipline the churn comparisons rely on), and gives peers joining
+  /// mid-run stable, stream-independent delays.
   static double DelayForKey(KeyId key);
-
- private:
-  std::vector<double> delays_ms_;
 };
 
 struct LatencyEvaluation {
@@ -47,9 +38,9 @@ struct LatencyEvaluation {
 };
 
 /// Routes `num_queries` uniform-key queries from random alive sources
-/// and prices each route through the model.
-LatencyEvaluation EvaluateLatency(const Network& net, const Router& router,
-                                  const LatencyModel& model,
+/// (EvaluateSearch's query loop) and prices each route: DelayForKey of
+/// every peer the route reaches, plus kDeadProbeMs per wasted message.
+LatencyEvaluation EvaluateLatency(NetworkView net, Routing routing,
                                   size_t num_queries, Rng* rng);
 
 }  // namespace oscar

@@ -142,10 +142,9 @@ void MessageSim::ProcessAt(uint64_t id, PeerId peer) {
   // A finished lookup's stepper is already freed; its message is moot.
   if (outcomes_[id].finished) return;
   BacktrackingStepper& stepper = *lookups_[id].stepper;
-  // The same generous safety net the whole-path routers use, re-read
-  // each time because churn changes the alive count mid-run.
-  const size_t budget = 8 * net_->alive_count() + 64;
-  if (stepper.result().hops + stepper.result().wasted >= budget) {
+  // The same generous safety net a whole route uses, re-read each time
+  // because churn changes the alive count mid-run.
+  if (stepper.OverBudget(*net_)) {
     stepper.Abandon(*net_);
     Finish(id);
     return;

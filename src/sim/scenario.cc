@@ -9,7 +9,6 @@
 #include "common/string_util.h"
 #include "core/experiments.h"
 #include "core/simulation.h"
-#include "routing/backtracking_router.h"
 
 namespace oscar {
 
@@ -432,7 +431,7 @@ Result<size_t> CrossCheckMessageVsSync(const ScenarioOptions& base,
   };
   const uint64_t query_seed = base.seed ^ 0x2545f4914f6cdd1dULL;
   Rng sync_rng(query_seed);
-  EvaluateSearch(net, BacktrackingRouter(), search, &sync_rng);
+  EvaluateSearch(net, Routing::kBacktracking, search, &sync_rng);
 
   // Message side: the identical query stream (same seed, same draw
   // order; routing consumes no rng) through the event engine at zero

@@ -252,7 +252,7 @@ TEST(NetworkInvariants, DetectRingPosDrift) {
 TEST(NetworkInvariants, DetectDeadPeerRingPos) {
   Network net = LinkedNetwork(60, 44);
   const PeerId victim = net.AlivePeers().front();
-  net.Crash(victim);
+  net.CrashMany({victim});
   ASSERT_TRUE(net.CheckInvariants().ok());
   NetworkTestAccess::SetRingPos(&net, victim, 0);
   EXPECT_FALSE(net.CheckInvariants().ok()) << "dead peer ring position";

@@ -18,8 +18,6 @@
 #include "core/network_view.h"
 #include "core/topology_snapshot.h"
 #include "overlay/kleinberg/kleinberg_overlay.h"
-#include "routing/backtracking_router.h"
-#include "routing/greedy_router.h"
 #include "routing/route_stepper.h"
 #include "sampling/random_walk_sampler.h"
 #include "sampling/size_estimator.h"
@@ -50,8 +48,9 @@ void ExpectLockstepEqual(Stepper& on_live, Stepper& on_frozen,
   on_live.Start(live, source, target);
   on_frozen.Start(frozen, source, target);
   ASSERT_EQ(on_live.done(), on_frozen.done()) << label;
-  // Generous bound: both algorithms terminate well before it.
-  for (size_t i = 0; i < 8 * live.alive_count() + 64 && !on_live.done();
+  // Every step forwards to an unvisited alive peer, pops the route's
+  // stack or ends it, so both algorithms finish within 2 * alive steps.
+  for (size_t i = 0; i < 2 * live.alive_count() + 2 && !on_live.done();
        ++i) {
     ASSERT_FALSE(on_frozen.done()) << label << " step " << i;
     const RouteStep a = on_live.Step(live);
@@ -102,10 +101,8 @@ TEST(BackendEquivalenceTest, SteppersLockstepAcrossSeedsAndCrashLevels) {
 }
 
 TEST(BackendEquivalenceTest, RoutersMatchPerQuery) {
-  // Router::Route over the live network vs over each snapshot:
-  // whole-route equality, the harness-facing contract.
-  const GreedyRouter greedy;
-  const BacktrackingRouter backtracking;
+  // Route over the live network vs over each snapshot, for both
+  // algorithms: whole-route equality, the harness-facing contract.
   for (uint64_t seed = 42; seed <= 45; ++seed) {
     Network net = LinkedNetwork(250, seed);
     Rng crash_rng(seed ^ 0xbeefULL);
@@ -117,19 +114,19 @@ TEST(BackendEquivalenceTest, RoutersMatchPerQuery) {
       const PeerId source =
           alive[static_cast<size_t>(query_rng.UniformInt(alive.size()))];
       const KeyId target = KeyId::FromUnit(query_rng.NextDouble());
-      for (const Router* router :
-           {static_cast<const Router*>(&greedy),
-            static_cast<const Router*>(&backtracking)}) {
-        const RouteResult live = router->Route(net, source, target);
-        const RouteResult frozen = router->Route(snap, source, target);
+      for (const Routing routing :
+           {Routing::kGreedy, Routing::kBacktracking}) {
+        const int algo = static_cast<int>(routing);
+        const RouteResult live = Route(routing, net, source, target);
+        const RouteResult frozen = Route(routing, snap, source, target);
         ASSERT_EQ(live.success, frozen.success)
-            << router->name() << " seed " << seed << " query " << q;
+            << "routing " << algo << " seed " << seed << " query " << q;
         ASSERT_EQ(live.hops, frozen.hops)
-            << router->name() << " seed " << seed << " query " << q;
+            << "routing " << algo << " seed " << seed << " query " << q;
         ASSERT_EQ(live.wasted, frozen.wasted)
-            << router->name() << " seed " << seed << " query " << q;
+            << "routing " << algo << " seed " << seed << " query " << q;
         ASSERT_EQ(live.path, frozen.path)
-            << router->name() << " seed " << seed << " query " << q;
+            << "routing " << algo << " seed " << seed << " query " << q;
       }
     }
   }

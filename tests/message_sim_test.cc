@@ -171,7 +171,7 @@ TEST(MessageSimTest, LookupsSurviveCrashesRacingDelivery) {
         const PeerId victim = still[static_cast<size_t>(
             churn_rng.UniformInt(still.size()))];
         if (net.alive(victim) && net.alive_count() > 1) {
-          net.Crash(victim);
+          net.CrashMany({victim});
         }
       }
     });

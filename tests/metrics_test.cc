@@ -4,7 +4,7 @@
 #include "metrics/routing_load_metrics.h"
 #include "metrics/topology_metrics.h"
 #include "overlay/kleinberg/kleinberg_overlay.h"
-#include "routing/greedy_router.h"
+#include "routing/router.h"
 
 namespace oscar {
 namespace {
@@ -67,7 +67,7 @@ TEST(RoutingLoadMetricsTest, ChargesForwardersNotTerminals) {
   options.num_queries = 300;
   Rng rng(4);
   const RoutingLoadReport report =
-      EvaluateRoutingLoad(net, GreedyRouter(), options, &rng);
+      EvaluateRoutingLoad(net, Routing::kGreedy, options, &rng);
   EXPECT_GT(report.mean_load, 0.0);
   EXPECT_GT(report.peak_to_mean, 0.0);
   EXPECT_GE(report.budget_relative_gini, 0.0);

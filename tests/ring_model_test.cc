@@ -122,20 +122,22 @@ TEST(RingModel, RandomOperationsKeepEntriesAndPositionsExact) {
           ring.InsertMany(std::move(added));
           break;
         }
-        case 3: {  // Remove a present entry.
+        case 3: {  // Remove a present entry (a single-id filter).
           if (model.empty()) break;
           auto it = model.begin();
           std::advance(it, static_cast<long>(rng.UniformInt(model.size())));
-          const Ring::Entry entry = *it;
-          ring.Remove(KeyId::FromRaw(entry.key_raw), entry.id);
+          const PeerId id = it->id;
+          ring.RemoveIdsIf([id](PeerId other) { return other == id; });
           model.erase(it);
           break;
         }
-        case 4: {  // Remove an absent entry: a free id, or a wrong key.
-          const Ring::Entry entry{
-              DrawKey(&rng), static_cast<PeerId>(rng.UniformInt(kMaxId + 2))};
-          if (model.count(entry) != 0) break;
-          ring.Remove(KeyId::FromRaw(entry.key_raw), entry.id);
+        case 4: {  // Remove an absent id, possibly past the index's end.
+          const PeerId id = static_cast<PeerId>(rng.UniformInt(kMaxId + 2));
+          if (std::any_of(model.begin(), model.end(),
+                          [id](const Ring::Entry& e) { return e.id == id; })) {
+            break;
+          }
+          ring.RemoveIdsIf([id](PeerId other) { return other == id; });
           break;
         }
         case 5: {  // RemoveIdsIf over a random id subset.
@@ -283,11 +285,11 @@ std::vector<LinkCandidate> DrawPlan(PeerId self, size_t n, Rng* rng,
   return plan;
 }
 
-// Join, JoinMany, Crash, CrashMany, every long-link mutator, freezes,
-// and full and delta RestoreInto on one Network, with CheckInvariants
-// (ring order, the position index, link reciprocity) after every step,
-// the ring compared with a model of the alive peers and every link row
-// and dangling count with the LinkModel.
+// Join, JoinMany, one- and many-victim CrashMany, every long-link
+// mutator, freezes, and full and delta RestoreInto on one Network, with
+// CheckInvariants (ring order, the position index, link reciprocity)
+// after every step, the ring compared with a model of the alive peers
+// and every link row and dangling count with the LinkModel.
 TEST(NetworkModel, RandomLifecycleKeepsInvariants) {
   for (uint64_t seed = 42; seed <= 45; ++seed) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
@@ -324,10 +326,10 @@ TEST(NetworkModel, RandomLifecycleKeepsInvariants) {
           }
           break;
         }
-        case 2: {  // Crash any peer, alive or already dead.
+        case 2: {  // Crash one peer, alive or already dead.
           if (n == 0) break;
           const PeerId id = static_cast<PeerId>(rng.UniformInt(n));
-          net.Crash(id);
+          net.CrashMany({id});
           model.erase({net.key(id).raw, id});
           links.Crash(id);
           break;

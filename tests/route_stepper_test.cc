@@ -1,7 +1,8 @@
 // Equivalence guard for the step-wise routing interface: driving a
-// stepper one hop at a time must reproduce Router::Route exactly —
-// success, hops, wasted, terminal and the full visited path — on both
-// intact and heavily crashed networks. An oracle check pins the step
+// stepper one hop at a time by a reference loop (Drive, budgets written
+// out) must reproduce Run and Route exactly — success, hops, wasted,
+// terminal and the full visited path — on both intact and heavily
+// crashed networks. An oracle check pins the step
 // kernels to straightforward reference implementations, step by step.
 
 #include "routing/route_stepper.h"
@@ -17,8 +18,6 @@
 
 #include "churn/churn.h"
 #include "overlay/kleinberg/kleinberg_overlay.h"
-#include "routing/backtracking_router.h"
-#include "routing/greedy_router.h"
 
 namespace oscar {
 namespace {
@@ -36,8 +35,15 @@ Network LinkedNetwork(size_t n, uint64_t seed) {
   return net;
 }
 
-/// Drives `stepper` exactly as the corresponding Router::Route does:
-/// greedy bounds steps, backtracking bounds messages.
+/// The backtracking message budget, written out independently of
+/// BacktrackingStepper::OverBudget so the reference cannot drift with it.
+size_t ReferenceMessageBudget(NetworkView net) {
+  return 8 * net.alive_count() + 64;
+}
+
+/// The reference drive loop that Run and Route are held to: Start,
+/// Step until done or over budget (greedy bounds steps, backtracking
+/// bounds messages), then Abandon. It must not call Run or Route.
 template <typename Stepper>
 RouteResult Drive(Stepper* stepper, const Network& net, PeerId source,
                   KeyId target) {
@@ -48,7 +54,7 @@ RouteResult Drive(Stepper* stepper, const Network& net, PeerId source,
       stepper->Step(net);
     }
   } else {
-    const size_t max_messages = 8 * net.alive_count() + 64;
+    const size_t max_messages = ReferenceMessageBudget(net);
     while (!stepper->done() && stepper->result().hops +
                                        stepper->result().wasted <
                                    max_messages) {
@@ -68,20 +74,22 @@ void ExpectSameRoute(const RouteResult& a, const RouteResult& b) {
 }
 
 void CheckEquivalence(const Network& net, uint64_t query_seed) {
-  GreedyRouter greedy;
-  BacktrackingRouter backtracking;
-  GreedyStepper greedy_stepper;
-  BacktrackingStepper backtracking_stepper;
+  GreedyStepper greedy_stepper, greedy_runner;
+  BacktrackingStepper backtracking_stepper, backtracking_runner;
   Rng rng(query_seed);
   const std::vector<PeerId> peers = net.AlivePeers();
   for (int q = 0; q < 300; ++q) {
     const KeyId key = KeyId::FromUnit(rng.NextDouble());
     const PeerId source =
         peers[static_cast<size_t>(rng.UniformInt(peers.size()))];
-    ExpectSameRoute(Drive(&greedy_stepper, net, source, key),
-                    greedy.Route(net, source, key));
-    ExpectSameRoute(Drive(&backtracking_stepper, net, source, key),
-                    backtracking.Route(net, source, key));
+    const RouteResult greedy = Drive(&greedy_stepper, net, source, key);
+    ExpectSameRoute(greedy, greedy_runner.Run(net, source, key));
+    ExpectSameRoute(greedy, Route(Routing::kGreedy, net, source, key));
+    const RouteResult backtracking =
+        Drive(&backtracking_stepper, net, source, key);
+    ExpectSameRoute(backtracking, backtracking_runner.Run(net, source, key));
+    ExpectSameRoute(backtracking,
+                    Route(Routing::kBacktracking, net, source, key));
   }
 }
 
@@ -99,7 +107,6 @@ TEST(RouteStepperTest, MatchesRouteUnderHeavyCrashes) {
 TEST(RouteStepperTest, StepperIsReusableAcrossRoutes) {
   Network net = LinkedNetwork(120, 16);
   BacktrackingStepper stepper;
-  BacktrackingRouter router;
   Rng rng(17);
   const std::vector<PeerId> peers = net.AlivePeers();
   for (int q = 0; q < 50; ++q) {
@@ -107,7 +114,7 @@ TEST(RouteStepperTest, StepperIsReusableAcrossRoutes) {
     const PeerId source =
         peers[static_cast<size_t>(rng.UniformInt(peers.size()))];
     ExpectSameRoute(Drive(&stepper, net, source, key),
-                    router.Route(net, source, key));
+                    Route(Routing::kBacktracking, net, source, key));
   }
 }
 
@@ -129,7 +136,7 @@ TEST(RouteStepperTest, FailDeliveryRoutesAroundMidFlightCrash) {
     const RouteStep first = stepper.Step(copy);
     if (first.kind != StepKind::kForward) continue;
     // The chosen next hop dies while the message is in flight.
-    copy.Crash(first.to);
+    copy.CrashMany({first.to});
     if (!copy.alive(source) || copy.alive_count() < 2) continue;
     const uint32_t hops_before = stepper.result().hops;
     const uint32_t wasted_before = stepper.result().wasted;
@@ -139,12 +146,7 @@ TEST(RouteStepperTest, FailDeliveryRoutesAroundMidFlightCrash) {
     EXPECT_EQ(stepper.result().wasted, wasted_before + 1);  // ...as waste.
     // Routing continues around the corpse and still succeeds.
     const RouteResult finished = [&] {
-      const size_t max_messages = 8 * copy.alive_count() + 64;
-      while (!stepper.done() && stepper.result().hops +
-                                        stepper.result().wasted <
-                                    max_messages) {
-        stepper.Step(copy);
-      }
+      while (!stepper.done() && !stepper.OverBudget(copy)) stepper.Step(copy);
       if (!stepper.done()) stepper.Abandon(copy);
       return stepper.result();
     }();
@@ -384,7 +386,7 @@ void ExpectLockstep(NetworkView net, Network* crash_in, PeerId source,
   oracle.Start(net, source, target);
   kernel.Start(net, source, target);
   ASSERT_EQ(oracle.done(), kernel.done());
-  const size_t budget = 8 * net.alive_count() + 64;
+  const size_t budget = ReferenceMessageBudget(net);
   for (size_t call = 0; call < budget && !oracle.done(); ++call) {
     const RouteStep want = oracle.Step(net);
     const RouteStep got = kernel.Step(net);
@@ -409,7 +411,7 @@ void ExpectLockstep(NetworkView net, Network* crash_in, PeerId source,
     if constexpr (std::is_same_v<Kernel, BacktrackingStepper>) {
       if (got.kind == StepKind::kForward && got.to != source &&
           rng->UniformInt(6) == 0 && (crash_in == nullptr || can_crash)) {
-        if (crash_in != nullptr) crash_in->Crash(got.to);
+        if (crash_in != nullptr) crash_in->CrashMany({got.to});
         ASSERT_EQ(oracle.FailDelivery(), kernel.FailDelivery(net));
         ++coverage->failed_deliveries;
         failed = true;
@@ -426,7 +428,7 @@ void ExpectLockstep(NetworkView net, Network* crash_in, PeerId source,
               : path[static_cast<size_t>(rng->UniformInt(path.size()))];
       if (victim != source && victim != kernel.current() &&
           crash_in->alive(victim)) {
-        crash_in->Crash(victim);
+        crash_in->CrashMany({victim});
         ++coverage->mid_route_crashes;
       }
     }

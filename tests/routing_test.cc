@@ -2,8 +2,7 @@
 
 #include "churn/churn.h"
 #include "overlay/kleinberg/kleinberg_overlay.h"
-#include "routing/backtracking_router.h"
-#include "routing/greedy_router.h"
+#include "routing/router.h"
 
 namespace oscar {
 namespace {
@@ -21,16 +20,15 @@ Network LinkedNetwork(size_t n, uint64_t seed) {
   return net;
 }
 
-TEST(GreedyRouterTest, AlwaysReachesOwnerOnHealthyNetwork) {
+TEST(GreedyRouteTest, AlwaysReachesOwnerOnHealthyNetwork) {
   Network net = LinkedNetwork(200, 1);
-  GreedyRouter router;
   Rng rng(2);
   const std::vector<PeerId> peers = net.AlivePeers();
   for (int q = 0; q < 200; ++q) {
     const KeyId key = KeyId::FromUnit(rng.NextDouble());
     const PeerId source =
         peers[static_cast<size_t>(rng.UniformInt(peers.size()))];
-    const RouteResult route = router.Route(net, source, key);
+    const RouteResult route = Route(Routing::kGreedy, net, source, key);
     ASSERT_TRUE(route.success);
     EXPECT_EQ(route.terminal, *net.OwnerOf(key));
     EXPECT_EQ(route.wasted, 0u);  // Nothing is dead.
@@ -40,44 +38,44 @@ TEST(GreedyRouterTest, AlwaysReachesOwnerOnHealthyNetwork) {
   }
 }
 
-TEST(GreedyRouterTest, RouteToOwnKeyIsFree) {
+TEST(GreedyRouteTest, RouteToOwnKeyIsFree) {
   Network net = LinkedNetwork(50, 3);
-  GreedyRouter router;
   const PeerId source = net.AlivePeers().front();
-  const RouteResult route = router.Route(net, source, net.key(source));
+  const RouteResult route =
+      Route(Routing::kGreedy, net, source, net.key(source));
   EXPECT_TRUE(route.success);
   EXPECT_EQ(route.hops, 0u);
 }
 
-TEST(BacktrackingRouterTest, SurvivesHeavyCrashes) {
+TEST(BacktrackingRouteTest, SurvivesHeavyCrashes) {
   Network net = LinkedNetwork(300, 4);
   Rng churn_rng(5);
   ASSERT_TRUE(CrashFraction(&net, 0.33, &churn_rng).ok());
-  BacktrackingRouter router;
   Rng rng(6);
   const std::vector<PeerId> peers = net.AlivePeers();
   for (int q = 0; q < 200; ++q) {
     const KeyId key = KeyId::FromUnit(rng.NextDouble());
     const PeerId source =
         peers[static_cast<size_t>(rng.UniformInt(peers.size()))];
-    const RouteResult route = router.Route(net, source, key);
+    const RouteResult route =
+        Route(Routing::kBacktracking, net, source, key);
     ASSERT_TRUE(route.success);
     EXPECT_EQ(route.terminal, *net.OwnerOf(key));
   }
 }
 
-TEST(BacktrackingRouterTest, ChargesWastedTrafficUnderChurn) {
+TEST(BacktrackingRouteTest, ChargesWastedTrafficUnderChurn) {
   Network net = LinkedNetwork(300, 7);
   Rng churn_rng(8);
   ASSERT_TRUE(CrashFraction(&net, 0.33, &churn_rng).ok());
-  BacktrackingRouter router;
   Rng rng(9);
   const std::vector<PeerId> peers = net.AlivePeers();
   uint64_t wasted = 0;
   for (int q = 0; q < 100; ++q) {
     const PeerId source =
         peers[static_cast<size_t>(rng.UniformInt(peers.size()))];
-    wasted += router.Route(net, source, KeyId::FromUnit(rng.NextDouble()))
+    wasted += Route(Routing::kBacktracking, net, source,
+                    KeyId::FromUnit(rng.NextDouble()))
                   .wasted;
   }
   // A third of all long links dangle; some queries must probe them.

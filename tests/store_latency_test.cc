@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "churn/churn.h"
+#include "common/stats.h"
 #include "overlay/kleinberg/kleinberg_overlay.h"
-#include "routing/greedy_router.h"
+#include "routing/router.h"
 #include "sim/latency_model.h"
 #include "store/replicated_store.h"
 
@@ -74,22 +77,26 @@ TEST(ReplicatedStoreTest, ReReplicateRestoresOwnerHitsAndCountsLosses) {
 TEST(LatencyModelTest, PricesRoutesAndTimeouts) {
   Network healthy = LinkedNetwork(300, 7);
   Rng rng(8);
-  const LatencyModel model(healthy);
   const LatencyEvaluation eval =
-      EvaluateLatency(healthy, GreedyRouter(), model, 200, &rng);
+      EvaluateLatency(healthy, Routing::kGreedy, 200, &rng);
   EXPECT_GT(eval.mean_ms, 0.0);
   EXPECT_GE(eval.p95_ms, eval.p50_ms);
   EXPECT_DOUBLE_EQ(eval.success_rate, 1.0);
 }
 
 TEST(LatencyModelTest, DelaysAreAPureFunctionOfTheKey) {
-  Network net = LinkedNetwork(100, 9);
-  const LatencyModel a(net);
-  const LatencyModel b(net);
-  for (PeerId id : net.AlivePeers()) {
-    EXPECT_DOUBLE_EQ(a.HopDelayMs(id), b.HopDelayMs(id));
-    EXPECT_DOUBLE_EQ(a.HopDelayMs(id), LatencyModel::DelayForKey(net.key(id)));
+  // The same key always gets the same delay, and the delays follow the
+  // model's lognormal with a 25 ms median.
+  Rng rng(9);
+  std::vector<double> delays;
+  for (int i = 0; i < 4000; ++i) {
+    const KeyId key = KeyId::FromRaw(rng.Next());
+    const double delay = LatencyModel::DelayForKey(key);
+    EXPECT_DOUBLE_EQ(delay, LatencyModel::DelayForKey(key));
+    EXPECT_GT(delay, 0.0);
+    delays.push_back(delay);
   }
+  EXPECT_NEAR(Percentile(delays, 50.0), 25.0, 25.0 * 0.04);
 }
 
 }  // namespace

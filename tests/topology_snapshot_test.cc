@@ -12,8 +12,7 @@
 #include "core/network_view.h"
 #include "core/topology_snapshot.h"
 #include "overlay/kleinberg/kleinberg_overlay.h"
-#include "routing/backtracking_router.h"
-#include "routing/greedy_router.h"
+#include "routing/router.h"
 
 namespace oscar {
 namespace {
@@ -145,7 +144,7 @@ TEST(TopologySnapshotTest, RestoreIsStructurallyIdentical) {
   // The restored network mutates independently of the frozen source:
   // crashing it must not disturb the snapshot or a second restore.
   const PeerId victim = restored.AlivePeers().front();
-  restored.Crash(victim);
+  restored.CrashMany({victim});
   EXPECT_TRUE(snap.alive(victim));
   EXPECT_TRUE(snap.Restore().alive(victim));
 }
@@ -254,8 +253,6 @@ TEST(TopologySnapshotTest, DeltaRestoreFallsBackAcrossSnapshots) {
 }
 
 TEST(TopologySnapshotTest, RouteOverSnapshotMatchesLiveNetwork) {
-  const GreedyRouter greedy;
-  const BacktrackingRouter backtracking;
   for (uint64_t seed = 42; seed <= 45; ++seed) {
     Network net = LinkedNetwork(300, seed);
     Rng crash_rng(seed ^ 0xabcdef12345ULL);
@@ -267,19 +264,19 @@ TEST(TopologySnapshotTest, RouteOverSnapshotMatchesLiveNetwork) {
       const PeerId source =
           alive[static_cast<size_t>(query_rng.UniformInt(alive.size()))];
       const KeyId target = KeyId::FromUnit(query_rng.NextDouble());
-      for (const Router* router :
-           {static_cast<const Router*>(&greedy),
-            static_cast<const Router*>(&backtracking)}) {
-        const RouteResult live = router->Route(net, source, target);
-        const RouteResult frozen = router->Route(snap, source, target);
+      for (const Routing routing :
+           {Routing::kGreedy, Routing::kBacktracking}) {
+        const int algo = static_cast<int>(routing);
+        const RouteResult live = Route(routing, net, source, target);
+        const RouteResult frozen = Route(routing, snap, source, target);
         ASSERT_EQ(live.success, frozen.success)
-            << router->name() << " seed " << seed << " query " << q;
+            << "routing " << algo << " seed " << seed << " query " << q;
         ASSERT_EQ(live.hops, frozen.hops)
-            << router->name() << " seed " << seed << " query " << q;
+            << "routing " << algo << " seed " << seed << " query " << q;
         ASSERT_EQ(live.wasted, frozen.wasted)
-            << router->name() << " seed " << seed << " query " << q;
+            << "routing " << algo << " seed " << seed << " query " << q;
         ASSERT_EQ(live.path, frozen.path)
-            << router->name() << " seed " << seed << " query " << q;
+            << "routing " << algo << " seed " << seed << " query " << q;
       }
     }
   }

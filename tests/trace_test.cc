@@ -2,15 +2,19 @@
 // FormatDouble bytes, `.otrace` files must round-trip through the
 // reader exactly and reject corruption, the CSV replay of a decoded
 // binary trace must match the direct CSV sink byte-for-byte (including
-// through a full scenario run), and traces must be seed-deterministic.
+// through a full scenario run), traces must be seed-deterministic, and
+// the decoder must survive thousands of mutated files.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/string_util.h"
+#include "core/rng.h"
 #include "sim/scenario.h"
 #include "trace/columnar_trace.h"
 #include "trace/trace.h"
@@ -159,6 +163,182 @@ TEST(ColumnarTraceTest, ReaderRejectsABlockCountPastTheFile) {
   short_block.append(kOtraceEventBytes * 2 - 1, '\0');
   EXPECT_NE(DecodeStatus(short_block).message().find("block count"),
             std::string::npos);
+}
+
+// ---- Deterministic fuzzing of the decoder --------------------------------
+//
+// Mutated `.otrace` images over fixed seeds and a fixed iteration
+// budget: every input is either rejected with a Status or decoded, and a
+// decoded input survives a re-encode through the writer unchanged.
+
+/// A valid trace: two scopes, several blocks, every TraceKind.
+std::string FuzzSeedTrace(uint64_t salt) {
+  std::ostringstream out(std::ios::binary);
+  ColumnarTraceWriter writer(&out, 5);
+  const uint32_t scopes[] = {writer.Intern("alpha"),
+                             writer.Intern("beta scope")};
+  const uint32_t kinds = static_cast<uint32_t>(TraceKind::kCount);
+  Rng rng(salt);
+  for (uint32_t i = 0; i < 2 * kinds; ++i) {
+    if (i % 7 == 0) writer.SetScope(scopes[(i / 7) % 2]);
+    TraceEvent event;
+    event.t_us = 1000 * i + rng.UniformInt(1000);
+    event.kind = static_cast<TraceKind>(i % kinds);
+    event.lookup = i % 3 == 0 ? kTraceNone : i;
+    event.peer = i % 4 == 0 ? kTraceNone : static_cast<uint32_t>(rng.Next());
+    event.to = i % 5 == 0 ? kTraceNone : static_cast<uint32_t>(rng.Next());
+    event.info = static_cast<uint32_t>(rng.UniformInt(100));
+    writer.Append(event);
+  }
+  EXPECT_TRUE(writer.Close().ok());
+  return out.str();
+}
+
+/// The [begin, end) byte range of every frame of a well-formed trace.
+std::vector<std::pair<size_t, size_t>> FrameBounds(const std::string& bytes) {
+  const auto u32 = [&bytes](size_t at) {
+    uint32_t v = 0;
+    for (int i = 3; i >= 0; --i) {
+      v = (v << 8) | static_cast<uint8_t>(bytes[at + static_cast<size_t>(i)]);
+    }
+    return static_cast<size_t>(v);
+  };
+  std::vector<std::pair<size_t, size_t>> frames;
+  size_t at = sizeof(kOtraceMagic) + 4;
+  while (at < bytes.size()) {
+    const uint8_t tag = static_cast<uint8_t>(bytes[at]);
+    const size_t size = tag == kOtraceStringTag  ? 9 + u32(at + 5)
+                        : tag == kOtraceBlockTag ? 9 + u32(at + 5) *
+                                                           kOtraceEventBytes
+                                                 : 9;  // End frame.
+    frames.emplace_back(at, at + size);
+    at += size;
+  }
+  return frames;
+}
+
+/// One fuzz input: optionally a frame duplicated from `base` or spliced
+/// in from `donor` (inserted at a frame boundary or replacing a frame),
+/// then up to three bit flips, byte overwrites or truncations. Never
+/// returns `base` unchanged.
+std::string Mutate(const std::string& base, const std::string& donor,
+                   Rng* rng) {
+  const auto frames = FrameBounds(base);
+  const auto donor_frames = FrameBounds(donor);
+  const auto frame_text = [](const std::string& bytes,
+                             std::pair<size_t, size_t> frame) {
+    return bytes.substr(frame.first, frame.second - frame.first);
+  };
+  std::string bytes = base;
+  const uint64_t structural = rng->UniformInt(4);
+  if (structural != 0) {
+    const auto& slot = frames[rng->UniformInt(frames.size())];
+    const std::string frame =
+        structural == 1
+            ? frame_text(base, frames[rng->UniformInt(frames.size())])
+            : frame_text(donor,
+                         donor_frames[rng->UniformInt(donor_frames.size())]);
+    if (structural == 3) {
+      bytes.replace(slot.first, slot.second - slot.first, frame);
+    } else {
+      bytes.insert(rng->UniformInt(2) == 0 ? slot.first : slot.second, frame);
+    }
+  }
+  static constexpr uint8_t kEdgeBytes[] = {0x00, 0x01, 0x7f, 0x80, 0xff,
+                                           'S',  'B',  'E'};
+  const uint64_t edits = rng->UniformInt(structural == 0 ? 3 : 4) +
+                         (structural == 0 ? 1 : 0);
+  for (uint64_t e = 0; e < edits && !bytes.empty(); ++e) {
+    const size_t at = static_cast<size_t>(rng->UniformInt(bytes.size()));
+    switch (rng->UniformInt(3)) {
+      case 0:
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng->UniformInt(8)));
+        break;
+      case 1:
+        bytes[at] = static_cast<char>(
+            rng->UniformInt(2) == 0
+                ? kEdgeBytes[rng->UniformInt(sizeof(kEdgeBytes))]
+                : rng->UniformInt(256));
+        break;
+      default:
+        bytes.resize(at);
+        break;
+    }
+  }
+  if (bytes == base) bytes.pop_back();
+  return bytes;
+}
+
+/// Re-encodes decoded contents through the writer: the string table in
+/// id order, then every record under its scope's text.
+std::string Reencode(const TraceContents& contents) {
+  std::ostringstream out(std::ios::binary);
+  ColumnarTraceWriter writer(&out, 5);
+  for (const std::string& text : contents.strings) writer.Intern(text);
+  for (const TraceRecord& record : contents.records) {
+    writer.SetScope(writer.Intern(contents.scope_text(record)));
+    writer.Append(record.event);
+  }
+  EXPECT_TRUE(writer.Close().ok());
+  return out.str();
+}
+
+TEST(ColumnarTraceTest, ReaderSurvivesMutatedFiles) {
+  const std::string base = FuzzSeedTrace(1);
+  const std::string donor = FuzzSeedTrace(2);
+  ASSERT_TRUE(DecodeStatus(base).ok());
+  ASSERT_GE(FrameBounds(base).size(), 6u);  // 2 strings, 4+ blocks, end.
+  size_t decoded_inputs = 0;
+  size_t rejected_inputs = 0;
+  for (uint64_t seed = 42; seed <= 45; ++seed) {
+    Rng rng(seed);
+    for (int iteration = 0; iteration < 1000; ++iteration) {
+      const std::string input = Mutate(base, donor, &rng);
+      std::istringstream in(input, std::ios::binary);
+      auto decoded = ReadTrace(in);
+      if (!decoded.ok()) {
+        ASSERT_FALSE(decoded.status().message().empty());
+        ++rejected_inputs;
+        continue;
+      }
+      ++decoded_inputs;
+      const TraceContents& contents = decoded.value();
+      const std::string reencoded = Reencode(contents);
+      std::istringstream again_in(reencoded, std::ios::binary);
+      auto again = ReadTrace(again_in);
+      ASSERT_TRUE(again.ok())
+          << "seed " << seed << " iteration " << iteration << ": "
+          << again.status();
+      // The writer interns each distinct text once, so a table with a
+      // repeated text comes back with the repeat dropped.
+      std::vector<std::string> distinct;
+      for (const std::string& text : contents.strings) {
+        if (std::find(distinct.begin(), distinct.end(), text) ==
+            distinct.end()) {
+          distinct.push_back(text);
+        }
+      }
+      ASSERT_EQ(again.value().strings, distinct)
+          << "seed " << seed << " iteration " << iteration;
+      ASSERT_EQ(again.value().records.size(), contents.records.size())
+          << "seed " << seed << " iteration " << iteration;
+      for (size_t i = 0; i < contents.records.size(); ++i) {
+        const TraceRecord& want = contents.records[i];
+        const TraceRecord& got = again.value().records[i];
+        ASSERT_EQ(got.event, want.event)
+            << "seed " << seed << " iteration " << iteration << " record "
+            << i;
+        ASSERT_EQ(again.value().scope_text(got), contents.scope_text(want))
+            << "seed " << seed << " iteration " << iteration << " record "
+            << i;
+      }
+      ASSERT_EQ(Reencode(again.value()), reencoded)
+          << "seed " << seed << " iteration " << iteration;
+    }
+  }
+  // The mutations reach both sides of the decoder.
+  EXPECT_GT(decoded_inputs, 100u);
+  EXPECT_GT(rejected_inputs, 100u);
 }
 
 /// Replays decoded records through a fresh CsvTraceSink, exactly like
