@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark): hot-path costs of the simulator
 // substrate — ring queries, routing, sampling, partitioning, link
-// construction. These guard against performance regressions that would
-// make the paper-scale harnesses impractically slow.
+// construction, event dispatch and message-level lookups. These guard
+// against performance regressions that would make the paper-scale
+// harnesses impractically slow.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,8 @@
 #include "sampling/oracle_sampler.h"
 #include "sampling/random_walk_sampler.h"
 #include "churn/churn.h"
+#include "sim/event_engine.h"
+#include "sim/message_sim.h"
 
 namespace oscar {
 namespace {
@@ -79,6 +82,68 @@ void BM_BacktrackingRouteUnderChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BacktrackingRouteUnderChurn);
+
+/// The message engine's traffic shape without the routing: arrivals
+/// pre-scheduled in time order, and chains that keep a fixed number of
+/// events in flight until the arrivals run out.
+struct DispatchLoad {
+  EventEngine engine;
+  Rng rng{20};
+  size_t arrivals_left = 0;
+};
+
+void ScheduleChainEvent(DispatchLoad* load) {
+  // 64 chains at a mean gap of 80 ms fire about eight events per 10 ms
+  // arrival, close to a sim-steady lookup's events.
+  load->engine.ScheduleAfter(160.0 * load->rng.NextDouble(), [load] {
+    if (load->arrivals_left > 0) ScheduleChainEvent(load);
+  });
+}
+
+/// One batch: 100k arrivals (every 10 ms on average, as sim-steady's)
+/// scheduled up front, with about 64 events in flight beside them, all
+/// dispatched: about 900k events. Time per batch, so 1 ms per batch is
+/// about 1.1 ns per event.
+void BM_EventDispatch(benchmark::State& state) {
+  constexpr size_t kArrivals = 100000;
+  constexpr int kInFlight = 64;
+  for (auto _ : state) {
+    DispatchLoad load;
+    load.arrivals_left = kArrivals;
+    SimTime at = 0.0;
+    for (size_t i = 0; i < kArrivals; ++i) {
+      at += 20.0 * load.rng.NextDouble();
+      load.engine.ScheduleAt(at, [&load] { --load.arrivals_left; });
+    }
+    for (int i = 0; i < kInFlight; ++i) ScheduleChainEvent(&load);
+    benchmark::DoNotOptimize(load.engine.Run());
+  }
+}
+BENCHMARK(BM_EventDispatch)->Unit(benchmark::kMillisecond);
+
+/// One batch of 10k lookups through a fresh EventEngine and MessageSim
+/// on a 3000-peer network: arrivals every 10 ms on average, default
+/// service, latency and admission. Time per batch, so per lookup it is
+/// the batch time over 10k.
+void BM_MessageSimLookup(benchmark::State& state) {
+  constexpr size_t kLookups = 10000;
+  Network net = MakeLinkedNetwork(3000, 21);
+  const std::vector<PeerId> peers = net.AlivePeers();
+  Rng rng(22);
+  for (auto _ : state) {
+    EventEngine engine;
+    MessageSim sim(&engine, &net, MessageSimOptions{}, &rng);
+    SimTime at = 0.0;
+    for (size_t i = 0; i < kLookups; ++i) {
+      const PeerId source =
+          peers[static_cast<size_t>(rng.UniformInt(peers.size()))];
+      sim.SubmitLookupAt(at, source, KeyId::FromUnit(rng.NextDouble()));
+      at += 20.0 * rng.NextDouble();
+    }
+    benchmark::DoNotOptimize(engine.Run());
+  }
+}
+BENCHMARK(BM_MessageSimLookup)->Unit(benchmark::kMillisecond);
 
 void BM_OracleSegmentSample(benchmark::State& state) {
   Network net = MakeLinkedNetwork(10000, 10);

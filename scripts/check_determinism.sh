@@ -8,9 +8,10 @@
 # trace bytes must match across the three runs, and differ between
 # seeds 42 and 43 (a constant output would measure nothing). Only stderr
 # may carry wall-clock numbers. oscar_sim runs the four hostile
-# scenarios (every fault and repair path) plus baseline and
-# rolling-churn; oscar_serve sweeps rate limiting off and on over
-# Zipf-hot keys.
+# scenarios (every fault and repair path) plus baseline, rolling-churn
+# and flash-crowd (every lookup submitted at t=0: the all-ties case the
+# event queue must dispatch in schedule order); oscar_serve sweeps rate
+# limiting off and on over Zipf-hot keys.
 
 set -euo pipefail
 
@@ -24,7 +25,7 @@ case "${tool}" in
 oscar_sim)
   export OSCAR_BENCH_SIZE=150 OSCAR_BENCH_QUERIES=80
   scenarios=(partition-heal repair-vs-churn adversarial-hotkeys
-             cascade-slowdown baseline rolling-churn)
+             cascade-slowdown baseline rolling-churn flash-crowd)
   args=("${scenarios[@]}")
   ;;
 oscar_serve)

@@ -28,6 +28,43 @@ bool OwnsTarget(const Topo& topo, uint32_t pos, KeyId target) {
 
 }  // namespace
 
+// ---- PeerIdSet -----------------------------------------------------------
+
+bool PeerIdSet::insert(PeerId id) {
+  if (id == kEmpty) {
+    const bool added = !holds_empty_key_;
+    holds_empty_key_ = true;
+    return added;
+  }
+  // Grow before the insert could push the load past 1/2.
+  if (2 * (used_.size() + 1) > slots_.size()) {
+    Rehash(slots_.empty() ? 16 : 2 * slots_.size());
+  }
+  const size_t slot = SlotFor(id);
+  if (slots_[slot] == id) return false;
+  slots_[slot] = id;
+  used_.push_back(static_cast<uint32_t>(slot));
+  return true;
+}
+
+void PeerIdSet::clear() {
+  for (const uint32_t slot : used_) slots_[slot] = kEmpty;
+  used_.clear();
+  holds_empty_key_ = false;
+}
+
+void PeerIdSet::Rehash(size_t capacity) {
+  const std::vector<PeerId> old =
+      std::exchange(slots_, std::vector<PeerId>(capacity, kEmpty));
+  shift_ = 64;
+  for (size_t c = capacity; c > 1; c >>= 1) --shift_;
+  for (uint32_t& slot : used_) {
+    const PeerId id = old[slot];
+    slot = static_cast<uint32_t>(SlotFor(id));
+    slots_[slot] = id;
+  }
+}
+
 // ---- GreedyStepper -------------------------------------------------------
 
 void GreedyStepper::Start(NetworkView net, PeerId source, KeyId target) {
@@ -171,7 +208,7 @@ RouteStep BacktrackingStepper::StepOn(const Topo& topo) {
     }
     const uint64_t d = RingDistance(topo.key(candidate), target_);
     if (std::make_pair(d, candidate) >= std::make_pair(best_distance, next) ||
-        visited_.count(candidate) != 0) {
+        visited_.contains(candidate)) {
       return;
     }
     best_distance = d;
@@ -188,10 +225,10 @@ RouteStep BacktrackingStepper::StepOn(const Topo& topo) {
       const uint64_t d = RingDistance(topo.key(candidate), target_);
       if ((found && std::make_pair(d, candidate) >
                         std::make_pair(best_distance, next)) ||
-          visited_.count(candidate) != 0) {
+          visited_.contains(candidate)) {
         return;
       }
-      if (probed_dead_.insert(candidate).second) {
+      if (probed_dead_.insert(candidate)) {
         ++result_.wasted;
         ++step.dead_probes;
       }

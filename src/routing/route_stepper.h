@@ -19,7 +19,8 @@
 #ifndef OSCAR_ROUTING_ROUTE_STEPPER_H_
 #define OSCAR_ROUTING_ROUTE_STEPPER_H_
 
-#include <unordered_set>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "routing/router.h"
@@ -89,6 +90,44 @@ class GreedyStepper {
   bool done_ = true;
 };
 
+/// A set of peer ids for the per-route visited and probed sets: open
+/// addressing with linear probing at load at most 1/2, and no node
+/// allocations. clear() empties only the slots in use and keeps the
+/// table, so a stepper reused across routes pays O(size) per reset and
+/// allocates again only when a route outgrows every earlier one.
+class PeerIdSet {
+ public:
+  bool contains(PeerId id) const {
+    if (id == kEmpty) return holds_empty_key_;
+    return !slots_.empty() && slots_[SlotFor(id)] == id;
+  }
+  /// Adds `id`; true when it was not yet a member.
+  bool insert(PeerId id);
+  void clear();
+
+ private:
+  /// Marks a free slot. The one id equal to it is kept in a flag.
+  static constexpr PeerId kEmpty = UINT32_MAX;
+  /// The slot holding `id`, or the free slot that ends its probe run.
+  /// Precondition: the table is nonempty.
+  size_t SlotFor(PeerId id) const {
+    // Fibonacci hashing: the top bits of the product index the table.
+    size_t slot = static_cast<size_t>(
+        (uint64_t{id} * 0x9e3779b97f4a7c15ULL) >> shift_);
+    const size_t mask = slots_.size() - 1;
+    while (slots_[slot] != id && slots_[slot] != kEmpty) {
+      slot = (slot + 1) & mask;
+    }
+    return slot;
+  }
+  void Rehash(size_t capacity);
+
+  std::vector<PeerId> slots_;   // Power-of-two size; kEmpty when free.
+  std::vector<uint32_t> used_;  // Indices of the occupied slots.
+  unsigned shift_ = 64;         // 64 - log2(slots_.size()).
+  bool holds_empty_key_ = false;
+};
+
 /// Fault-aware routing for crashed networks (depth-first greedy), one
 /// forward or backtrack move per Step. At each peer, candidates are
 /// tried nearest-to-target first; probes to dead neighbors cost a
@@ -133,8 +172,8 @@ class BacktrackingStepper {
   KeyId target_;
   PeerId source_ = 0;
   bool done_ = true;
-  std::unordered_set<PeerId> visited_;
-  std::unordered_set<PeerId> probed_dead_;
+  PeerIdSet visited_;
+  PeerIdSet probed_dead_;
   std::vector<PeerId> stack_;
 };
 

@@ -1,63 +1,50 @@
 #include "sim/event_engine.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace oscar {
 
-EventId EventEngine::ScheduleAt(SimTime at, Handler fn) {
+void EventEngine::ScheduleAt(SimTime at, Handler fn) {
   if (at < now_) at = now_;
-  const EventId id = next_id_++;
-  queue_.push(QueuedEvent{at, id});
-  handlers_.emplace(id, std::move(fn));
-  return id;
-}
-
-EventId EventEngine::ScheduleAfter(SimTime delay, Handler fn) {
-  if (delay < 0.0) delay = 0.0;
-  return ScheduleAt(now_ + delay, std::move(fn));
-}
-
-bool EventEngine::Cancel(EventId id) {
-  // The heap entry stays behind as a tombstone and is skipped on pop.
-  return handlers_.erase(id) != 0;
-}
-
-bool EventEngine::RunOne() {
-  while (!queue_.empty()) {
-    const QueuedEvent event = queue_.top();
-    queue_.pop();
-    auto it = handlers_.find(event.id);
-    if (it == handlers_.end()) continue;  // Cancelled tombstone.
-    Handler fn = std::move(it->second);
-    handlers_.erase(it);
-    now_ = event.at;
-    ++dispatched_;
-    fn();
-    return true;
+  Event event{at, next_seq_++, std::move(fn)};
+  // The new event carries the largest seq so far, so it extends the
+  // sorted run whenever its time is no earlier than the run's tail.
+  if (run_.empty() || at >= run_.back().at) {
+    run_.push_back(std::move(event));
+    return;
   }
-  return false;
+  heap_.push_back(std::move(event));
+  std::push_heap(heap_.begin(), heap_.end(), Later);
+}
+
+void EventEngine::ScheduleAfter(SimTime delay, Handler fn) {
+  if (delay < 0.0) delay = 0.0;
+  ScheduleAt(now_ + delay, std::move(fn));
+}
+
+bool EventEngine::DispatchNext() {
+  Handler fn;
+  if (!run_.empty() && (heap_.empty() || Later(heap_.front(), run_.front()))) {
+    now_ = run_.front().at;
+    fn = std::move(run_.front().fn);
+    run_.pop_front();
+  } else if (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    now_ = heap_.back().at;
+    fn = std::move(heap_.back().fn);
+    heap_.pop_back();
+  } else {
+    return false;
+  }
+  ++dispatched_;
+  fn();
+  return true;
 }
 
 size_t EventEngine::Run(size_t max_events) {
   size_t ran = 0;
-  while (ran < max_events && RunOne()) ++ran;
-  return ran;
-}
-
-size_t EventEngine::RunUntil(SimTime until) {
-  size_t ran = 0;
-  while (!queue_.empty()) {
-    // Skip tombstones so a cancelled far-future event doesn't block the
-    // peek at the real head.
-    if (handlers_.find(queue_.top().id) == handlers_.end()) {
-      queue_.pop();
-      continue;
-    }
-    if (queue_.top().at > until) break;
-    RunOne();
-    ++ran;
-  }
-  if (now_ < until) now_ = until;
+  while (ran < max_events && DispatchNext()) ++ran;
   return ran;
 }
 

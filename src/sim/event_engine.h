@@ -1,18 +1,26 @@
-// Discrete-event core: a monotonic virtual clock over a binary-heap
-// event queue with deterministic tie-breaking. Events at the same
-// virtual time dispatch in schedule order — ordering is a pure function
-// of (time, sequence number), never of heap internals or pointer
-// values, so a fixed seed reproduces an identical event trace.
+// Discrete-event core: a monotonic virtual clock over an event queue
+// with deterministic tie-breaking. Events at the same virtual time
+// dispatch in schedule order — ordering is a pure function of (time,
+// sequence number), never of queue internals or pointer values, so a
+// fixed seed reproduces an identical event trace.
+//
+// The queue is two queues merged at dispatch. An event scheduled no
+// earlier than the last one in the sorted run (every event of a
+// pre-drawn arrival stream, all ties at one time) is appended to that
+// FIFO run; every other event goes into a binary heap, which therefore
+// holds only the events in flight, not the whole arrival backlog. Each
+// entry owns its handler, so scheduling and dispatch touch no map.
+// Events cannot be cancelled: a handler whose work went stale checks
+// its own state and returns.
 
 #ifndef OSCAR_SIM_EVENT_ENGINE_H_
 #define OSCAR_SIM_EVENT_ENGINE_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 namespace oscar {
@@ -20,56 +28,46 @@ namespace oscar {
 /// Virtual time in milliseconds.
 using SimTime = double;
 
-using EventId = uint64_t;
-
 class EventEngine {
  public:
   using Handler = std::function<void()>;
 
   /// Schedules `fn` at absolute virtual time `at`; times in the past
-  /// are clamped to now() (the clock never runs backwards). Returns an
-  /// id usable with Cancel.
-  EventId ScheduleAt(SimTime at, Handler fn);
+  /// are clamped to now() (the clock never runs backwards).
+  void ScheduleAt(SimTime at, Handler fn);
 
   /// Schedules `fn` after a relative delay (negative delays clamp to 0).
-  EventId ScheduleAfter(SimTime delay, Handler fn);
-
-  /// Drops a pending event. Returns false when the id already fired,
-  /// was cancelled, or never existed.
-  bool Cancel(EventId id);
+  void ScheduleAfter(SimTime delay, Handler fn);
 
   SimTime now() const { return now_; }
-  size_t pending() const { return handlers_.size(); }
+  size_t pending() const { return run_.size() + heap_.size(); }
   uint64_t dispatched() const { return dispatched_; }
 
-  /// Dispatches the earliest pending event. False when queue is empty.
-  bool RunOne();
-
-  /// Dispatches events until the queue drains or `max_events` have run
-  /// in this call (a backstop against runaway handler loops). Returns
-  /// the number dispatched.
+  /// Dispatches events in (time, schedule order) until the queue drains
+  /// or `max_events` have run in this call (a backstop against runaway
+  /// handler loops). Returns the number dispatched.
   size_t Run(size_t max_events = std::numeric_limits<size_t>::max());
 
-  /// Dispatches every event with time <= `until`, advancing the clock
-  /// no further than `until`. Returns the number dispatched.
-  size_t RunUntil(SimTime until);
-
  private:
-  struct QueuedEvent {
+  struct Event {
     SimTime at;
-    EventId id;
-    /// Min-heap order: earliest time first, schedule order on ties.
-    friend bool operator>(const QueuedEvent& a, const QueuedEvent& b) {
-      return a.at != b.at ? a.at > b.at : a.id > b.id;
-    }
+    uint64_t seq;
+    Handler fn;
   };
+  /// (time, seq) order; also the heap's "lower priority" test.
+  static bool Later(const Event& a, const Event& b) {
+    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+  }
 
-  std::priority_queue<QueuedEvent, std::vector<QueuedEvent>,
-                      std::greater<QueuedEvent>>
-      queue_;
-  std::unordered_map<EventId, Handler> handlers_;  // Absent = cancelled.
+  /// Pops and runs the earliest event. False when both queues are empty.
+  bool DispatchNext();
+
+  // A deque, not a vector: it grows without doubling its footprint and
+  // frees its blocks as the run drains.
+  std::deque<Event> run_;   // Sorted by (at, seq); appended at the back.
+  std::vector<Event> heap_;  // Min-heap under Later.
   SimTime now_ = 0.0;
-  EventId next_id_ = 0;
+  uint64_t next_seq_ = 0;
   uint64_t dispatched_ = 0;
 };
 

@@ -66,11 +66,21 @@ void MessageSim::Admit(uint64_t id) {
 void MessageSim::Activate(uint64_t id) {
   ++active_;
   concurrency_.Add(engine_->now(), +1);
-  Lookup& lookup = lookups_[id];
-  lookup.stepper = std::make_unique<BacktrackingStepper>();
-  lookup.stepper->Start(*net_, outcomes_[id].source, outcomes_[id].target);
+  if (spare_.empty()) {
+    lookups_[id] = std::make_unique<Lookup>();
+  } else {
+    lookups_[id] = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  Lookup& lookup = *lookups_[id];
+  // A reused record starts as a fresh one does: no transmission yet.
+  lookup.hop_attempts = 0;
+  lookup.pending_from = 0;
+  lookup.pending_dest = 0;
+  lookup.sent_at = 0.0;
+  lookup.stepper.Start(*net_, outcomes_[id].source, outcomes_[id].target);
   Emit(TraceKind::kStart, id, outcomes_[id].source, kTraceNone, 0);
-  if (lookup.stepper->done()) {  // Dead source or empty ring.
+  if (lookup.stepper.done()) {  // Dead source or empty ring.
     Finish(id);
     return;
   }
@@ -139,9 +149,9 @@ void MessageSim::EndService(PeerId peer) {
 }
 
 void MessageSim::ProcessAt(uint64_t id, PeerId peer) {
-  // A finished lookup's stepper is already freed; its message is moot.
+  // A finished lookup's record is already handed on; its message is moot.
   if (outcomes_[id].finished) return;
-  BacktrackingStepper& stepper = *lookups_[id].stepper;
+  BacktrackingStepper& stepper = lookups_[id]->stepper;
   // The same generous safety net a whole route uses, re-read each time
   // because churn changes the alive count mid-run.
   if (stepper.OverBudget(*net_)) {
@@ -175,7 +185,7 @@ void MessageSim::ProcessAt(uint64_t id, PeerId peer) {
 
 void MessageSim::Transmit(uint64_t id, PeerId from, PeerId to,
                           double extra_delay_ms) {
-  Lookup& lookup = lookups_[id];
+  Lookup& lookup = *lookups_[id];
   lookup.pending_from = from;
   lookup.pending_dest = to;
   lookup.hop_attempts = 0;
@@ -183,7 +193,7 @@ void MessageSim::Transmit(uint64_t id, PeerId from, PeerId to,
 }
 
 void MessageSim::SendPending(uint64_t id, double extra_delay_ms) {
-  Lookup& lookup = lookups_[id];
+  Lookup& lookup = *lookups_[id];
   const PeerId to = lookup.pending_dest;
   ++messages_sent_;
   // Armed partition rules raise the loss of matching transmissions
@@ -204,25 +214,29 @@ void MessageSim::SendPending(uint64_t id, double extra_delay_ms) {
                            [this, id] { HandleTimeout(id); });
     return;
   }
-  const SimTime sent_at = engine_->now() + extra_delay_ms;
-  engine_->ScheduleAt(sent_at + HopDelayMs(to), [this, id, to, sent_at] {
-    if (outcomes_[id].finished) return;
-    if (!net_->alive(to)) {
-      // Crashed while the message was in flight: delivery fails and the
-      // sender only learns by silence, one ack timeout after sending.
-      engine_->ScheduleAt(sent_at + options_.timeout_ms,
-                          [this, id] { HandleTimeout(id); });
-      return;
-    }
-    EnqueueAt(id, to);
-  });
+  lookup.sent_at = engine_->now() + extra_delay_ms;
+  engine_->ScheduleAt(lookup.sent_at + HopDelayMs(to),
+                      [this, id] { Deliver(id); });
+}
+
+void MessageSim::Deliver(uint64_t id) {
+  if (outcomes_[id].finished) return;
+  const Lookup& lookup = *lookups_[id];
+  if (!net_->alive(lookup.pending_dest)) {
+    // Crashed while the message was in flight: delivery fails and the
+    // sender only learns by silence, one ack timeout after sending.
+    engine_->ScheduleAt(lookup.sent_at + options_.timeout_ms,
+                        [this, id] { HandleTimeout(id); });
+    return;
+  }
+  EnqueueAt(id, lookup.pending_dest);
 }
 
 void MessageSim::HandleTimeout(uint64_t id) {
   if (outcomes_[id].finished) return;
   ++timeouts_;
-  Lookup& lookup = lookups_[id];
-  BacktrackingStepper& stepper = *lookup.stepper;
+  Lookup& lookup = *lookups_[id];
+  BacktrackingStepper& stepper = lookup.stepper;
   if (!net_->alive(lookup.pending_dest)) {
     // Crash discovered by silence: revert the unanswered hop and route
     // around it. (Also reached with a stale pending_dest when the peer
@@ -268,15 +282,16 @@ void MessageSim::HandleTimeout(uint64_t id) {
 void MessageSim::Finish(uint64_t id) {
   LookupOutcome& outcome = outcomes_[id];
   if (outcome.finished) return;
-  const RouteResult& route = lookups_[id].stepper->result();
+  const RouteResult& route = lookups_[id]->stepper.result();
   outcome.finished = true;
   outcome.success = route.success;
   outcome.hops = route.hops;
   outcome.wasted = route.wasted;
-  // The outcome holds all a finished lookup reports: free its route
-  // state (visited sets, stack, path) now rather than at the end of the
-  // run, so memory tracks the lookups in flight, not those submitted.
-  lookups_[id].stepper.reset();
+  // The outcome holds all a finished lookup reports: hand its record
+  // (stepper with visited sets, stack and path) to the next activation
+  // now rather than keep it to the end of the run, so memory tracks the
+  // lookups in flight, not those submitted.
+  spare_.push_back(std::move(lookups_[id]));
   outcome.completed_ms = engine_->now();
   outcome.latency_ms = outcome.completed_ms - outcome.submitted_ms;
   concurrency_.Add(engine_->now(), -1);

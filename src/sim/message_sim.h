@@ -11,10 +11,16 @@
 //  - Ack timeouts are only scheduled for transmissions that actually
 //    fail; a delivered message acks instantly and for free. This is
 //    equivalent to always scheduling the timeout and cancelling it on
-//    ack, with far fewer events.
+//    ack, with far fewer events (and no cancellation in the engine).
 //  - A peer that crashes with messages queued drains them one service
 //    slot at a time; each drained message takes the same timeout path
 //    its sender would have observed.
+//  - A lookup holds its route state (stepper and pending transmission)
+//    only while active. A finished lookup's record goes to a spare list
+//    and the next activation resets and restarts it, so a run allocates
+//    at most max_in_flight of them, and their visited sets keep their
+//    tables. Start resets every field a route reads, so reuse cannot
+//    change an outcome.
 
 #ifndef OSCAR_SIM_MESSAGE_SIM_H_
 #define OSCAR_SIM_MESSAGE_SIM_H_
@@ -133,12 +139,16 @@ class MessageSim {
   MessageSimReport Report() const;
 
  private:
+  // The state of an active lookup: its route, and its one message's
+  // current transmission. A lookup has exactly one message at a time
+  // (queued, in service, in flight or awaiting an ack timeout), so the
+  // pending fields hold from a send until its delivery or timeout.
   struct Lookup {
-    // On the heap, not inline: an idle Lookup stays one pointer wide.
-    std::unique_ptr<BacktrackingStepper> stepper;
+    BacktrackingStepper stepper;
     uint32_t hop_attempts = 0;  // Resends of the current transmission.
     PeerId pending_from = 0;    // Sender of the in-flight transmission.
     PeerId pending_dest = 0;    // Its destination.
+    SimTime sent_at = 0.0;      // When it left (after any dead probes).
   };
 
   struct PeerState {
@@ -175,6 +185,7 @@ class MessageSim {
   void ArmSampler();
   void SampleTimelines();
   void SendPending(uint64_t id, double extra_delay_ms);
+  void Deliver(uint64_t id);
   double HopDelayMs(PeerId to) const;
   /// Per-message service time of `peer` (slow peers pay the multiplier).
   double ServiceMsFor(PeerId peer) const;
@@ -187,7 +198,13 @@ class MessageSim {
 
   bool sampler_armed_ = false;
 
-  std::vector<Lookup> lookups_;
+  // Indexed by lookup id; set only while the lookup is active, so an
+  // idle lookup costs one pointer.
+  std::vector<std::unique_ptr<Lookup>> lookups_;
+  // Records of finished lookups, reused by the next activations (their
+  // steppers' tables and buffers included), so at most max_in_flight
+  // are ever allocated.
+  std::vector<std::unique_ptr<Lookup>> spare_;
   std::vector<LookupOutcome> outcomes_;  // Parallel to lookups_.
   std::deque<uint64_t> backlog_;         // Admission queue.
   std::vector<PeerState> peers_;

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
+#include <utility>
 #include <vector>
+
+#include "core/rng.h"
 
 namespace oscar {
 namespace {
@@ -51,17 +56,6 @@ TEST(EventEngineTest, HandlersScheduleFollowUps) {
   EXPECT_DOUBLE_EQ(engine.now(), 5.0);
 }
 
-TEST(EventEngineTest, CancelPreventsDispatch) {
-  EventEngine engine;
-  int fired = 0;
-  const EventId id = engine.ScheduleAt(1.0, [&fired] { ++fired; });
-  engine.ScheduleAt(2.0, [&fired] { ++fired; });
-  EXPECT_TRUE(engine.Cancel(id));
-  EXPECT_FALSE(engine.Cancel(id));  // Already cancelled.
-  EXPECT_EQ(engine.Run(), 1u);
-  EXPECT_EQ(fired, 1);
-}
-
 TEST(EventEngineTest, RunHonorsMaxEvents) {
   EventEngine engine;
   int fired = 0;
@@ -74,28 +68,6 @@ TEST(EventEngineTest, RunHonorsMaxEvents) {
   EXPECT_EQ(engine.Run(), 6u);
 }
 
-TEST(EventEngineTest, RunUntilStopsAtTheFence) {
-  EventEngine engine;
-  std::vector<double> seen;
-  for (double t : {1.0, 2.0, 3.0, 4.0}) {
-    engine.ScheduleAt(t, [&engine, &seen] { seen.push_back(engine.now()); });
-  }
-  EXPECT_EQ(engine.RunUntil(2.5), 2u);
-  EXPECT_DOUBLE_EQ(engine.now(), 2.5);  // Clock advances to the fence.
-  EXPECT_EQ(seen, (std::vector<double>{1.0, 2.0}));
-  EXPECT_EQ(engine.Run(), 2u);
-}
-
-TEST(EventEngineTest, RunUntilSkipsCancelledHead) {
-  EventEngine engine;
-  int fired = 0;
-  const EventId head = engine.ScheduleAt(1.0, [&fired] { ++fired; });
-  engine.ScheduleAt(2.0, [&fired] { ++fired; });
-  engine.Cancel(head);
-  EXPECT_EQ(engine.RunUntil(3.0), 1u);
-  EXPECT_EQ(fired, 1);
-}
-
 TEST(EventEngineTest, NegativeDelayClampsToNow) {
   EventEngine engine;
   engine.ScheduleAt(7.0, [] {});
@@ -104,6 +76,215 @@ TEST(EventEngineTest, NegativeDelayClampsToNow) {
   engine.ScheduleAfter(-5.0, [&engine, &fired_at] { fired_at = engine.now(); });
   engine.Run();
   EXPECT_DOUBLE_EQ(fired_at, 7.0);
+}
+
+// ---- Model test ----------------------------------------------------------
+//
+// Seeded random schedules run on the engine and on a naive reference
+// that scans for the smallest (time, schedule order) pending event. Both
+// sides issue the same scheduling calls — external bursts between
+// partial Run(max_events) calls, and follow-ups from inside handlers,
+// each a pure function of (seed, event label) — and must agree on the
+// dispatch order, on now() at every dispatch, and on pending() and the
+// dispatch count after every Run.
+
+/// One scheduling call, relative to the clock when it is issued:
+/// ScheduleAt(now + offset) or ScheduleAfter(offset). Negative offsets
+/// exercise clamping.
+struct ScheduleOp {
+  bool after = false;
+  double offset = 0.0;
+};
+
+/// How a schedule draws its times.
+enum class TimeMix {
+  kAllAtZero,  // Every event at t=0: one long tie.
+  kCoarse,     // A few integer times: many ties.
+  kBursts,     // Monotone runs mixed with out-of-order and past times.
+};
+
+double DrawOffset(TimeMix mix, Rng* rng) {
+  switch (mix) {
+    case TimeMix::kAllAtZero:
+      return 0.0;
+    case TimeMix::kCoarse:
+      return static_cast<double>(rng->UniformInt(4));
+    case TimeMix::kBursts:
+      break;
+  }
+  // A fifth land in the past, the rest anywhere in the next 50 ms.
+  if (rng->UniformInt(5) == 0) return -1.0 - 10.0 * rng->NextDouble();
+  return 50.0 * rng->NextDouble();
+}
+
+/// An external burst: a monotone run (the sorted run's traffic), then a
+/// few out-of-order events.
+std::vector<ScheduleOp> DrawBurst(TimeMix mix, Rng* rng) {
+  std::vector<ScheduleOp> ops;
+  const size_t monotone = static_cast<size_t>(rng->UniformInt(40));
+  double offset = mix == TimeMix::kAllAtZero ? 0.0 : 10.0 * rng->NextDouble();
+  for (size_t i = 0; i < monotone; ++i) {
+    ops.push_back({false, offset});
+    // Half the steps are ties.
+    if (mix != TimeMix::kAllAtZero && rng->UniformInt(2) == 0) {
+      offset += mix == TimeMix::kCoarse ? 1.0 : rng->NextDouble();
+    }
+  }
+  const size_t scattered = static_cast<size_t>(rng->UniformInt(12));
+  for (size_t i = 0; i < scattered; ++i) {
+    ops.push_back({rng->UniformInt(2) == 0, DrawOffset(mix, rng)});
+  }
+  return ops;
+}
+
+/// Follow-ups scheduled by the handler of event `label`, at depth
+/// `depth` of the follow-up tree: a pure function of the arguments, so
+/// both sides issue the same calls when they dispatch the same event.
+std::vector<ScheduleOp> FollowUpsOf(uint64_t seed, TimeMix mix,
+                                    uint64_t label, int depth) {
+  if (depth >= 3) return {};
+  Rng rng = Rng::Fork(seed, label, static_cast<uint64_t>(depth));
+  std::vector<ScheduleOp> ops(static_cast<size_t>(rng.UniformInt(3)));
+  for (ScheduleOp& op : ops) {
+    op.after = rng.UniformInt(2) == 0;
+    op.offset = DrawOffset(mix, &rng);
+  }
+  return ops;
+}
+
+struct Dispatch {
+  uint64_t label;
+  SimTime now;
+  bool operator==(const Dispatch& other) const {
+    return label == other.label && now == other.now;
+  }
+  friend std::ostream& operator<<(std::ostream& out, const Dispatch& d) {
+    return out << "#" << d.label << "@" << d.now;
+  }
+};
+
+/// The reference: a flat list, scanned for the minimum on every pop.
+class ReferenceEngine {
+ public:
+  void Schedule(const ScheduleOp& op, uint64_t label, int depth) {
+    SimTime at;
+    if (op.after) {
+      at = now_ + (op.offset < 0.0 ? 0.0 : op.offset);
+    } else {
+      at = now_ + op.offset;
+    }
+    if (at < now_) at = now_;
+    pending_.push_back({at, next_seq_++, label, depth});
+  }
+
+  /// Pops the earliest (at, seq) event, or returns false.
+  bool Pop(Dispatch* out, int* depth) {
+    if (pending_.empty()) return false;
+    size_t best = 0;
+    for (size_t i = 1; i < pending_.size(); ++i) {
+      const Item& a = pending_[i];
+      const Item& b = pending_[best];
+      if (a.at < b.at || (a.at == b.at && a.seq < b.seq)) best = i;
+    }
+    const Item item = pending_[best];
+    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(best));
+    now_ = item.at;
+    *out = {item.label, now_};
+    *depth = item.depth;
+    return true;
+  }
+
+  SimTime now() const { return now_; }
+  size_t pending() const { return pending_.size(); }
+
+ private:
+  struct Item {
+    SimTime at;
+    uint64_t seq;
+    uint64_t label;
+    int depth;
+  };
+  std::vector<Item> pending_;
+  SimTime now_ = 0.0;
+  uint64_t next_seq_ = 0;
+};
+
+/// The engine side: handlers record their dispatch and issue their
+/// follow-ups. Labels count scheduling calls, as on the reference side.
+class EngineDriver {
+ public:
+  EngineDriver(uint64_t seed, TimeMix mix) : seed_(seed), mix_(mix) {}
+
+  void Schedule(const ScheduleOp& op, int depth) {
+    const uint64_t label = next_label_++;
+    auto handler = [this, label, depth] {
+      trace_.push_back({label, engine_.now()});
+      for (const ScheduleOp& child : FollowUpsOf(seed_, mix_, label, depth)) {
+        Schedule(child, depth + 1);
+      }
+    };
+    if (op.after) {
+      engine_.ScheduleAfter(op.offset, handler);
+    } else {
+      engine_.ScheduleAt(engine_.now() + op.offset, handler);
+    }
+  }
+
+  EventEngine& engine() { return engine_; }
+  const std::vector<Dispatch>& trace() const { return trace_; }
+
+ private:
+  uint64_t seed_;
+  TimeMix mix_;
+  EventEngine engine_;
+  uint64_t next_label_ = 0;
+  std::vector<Dispatch> trace_;
+};
+
+void CheckAgainstReference(uint64_t seed, TimeMix mix) {
+  SCOPED_TRACE(testing::Message() << "seed " << seed << " mix "
+                                  << static_cast<int>(mix));
+  Rng rng(seed);
+  EngineDriver driver(seed, mix);
+  ReferenceEngine reference;
+  uint64_t reference_labels = 0;
+  std::vector<Dispatch> expected;
+  const int rounds = 1 + static_cast<int>(rng.UniformInt(6));
+  for (int round = 0; round < rounds; ++round) {
+    for (const ScheduleOp& op : DrawBurst(mix, &rng)) {
+      driver.Schedule(op, 0);
+      reference.Schedule(op, reference_labels++, 0);
+    }
+    // Partial runs, then (in the last round) a drain.
+    const bool drain = round + 1 == rounds;
+    const size_t budget =
+        drain ? SIZE_MAX : static_cast<size_t>(rng.UniformInt(60));
+    size_t reference_ran = 0;
+    Dispatch next{};
+    int depth = 0;
+    while (reference_ran < budget && reference.Pop(&next, &depth)) {
+      expected.push_back(next);
+      ++reference_ran;
+      for (const ScheduleOp& child :
+           FollowUpsOf(seed, mix, next.label, depth)) {
+        reference.Schedule(child, reference_labels++, depth + 1);
+      }
+    }
+    EXPECT_EQ(driver.engine().Run(budget), reference_ran);
+    ASSERT_EQ(driver.trace(), expected);
+    EXPECT_EQ(driver.engine().pending(), reference.pending());
+    EXPECT_EQ(driver.engine().now(), reference.now());
+    EXPECT_EQ(driver.engine().dispatched(), expected.size());
+  }
+  EXPECT_EQ(driver.engine().pending(), 0u);
+}
+
+TEST(EventEngineModelTest, MatchesSortedReferenceOnRandomSchedules) {
+  for (uint64_t seed = 1; seed <= 120; ++seed) {
+    CheckAgainstReference(seed, TimeMix::kAllAtZero);
+    CheckAgainstReference(seed, TimeMix::kCoarse);
+    CheckAgainstReference(seed, TimeMix::kBursts);
+  }
 }
 
 }  // namespace

@@ -167,6 +167,139 @@ TEST(RouteStepperTest, FailDeliveryAtOriginReportsNothingToRevert) {
   EXPECT_FALSE(stepper.FailDelivery(net));
 }
 
+// ---- Reuse: one stepper across many routes ------------------------------
+//
+// The message engine restarts one stepper per lookup slot, so a stepper
+// must carry nothing from one route into the next: its visited sets
+// keep their tables, and Start must empty them.
+
+/// What a batch of routes exercised, so the reuse test can show that it
+/// covered dead probes, failed deliveries and long routes.
+struct Exercised {
+  size_t dead_probes = 0;
+  size_t failed_deliveries = 0;
+  size_t longest_route = 0;
+};
+
+/// Drives one backtracking lookup on `net`, a private copy. When
+/// `crash_at` > 0, the peer the crash_at-th forward went to crashes while
+/// the message is in flight, and the stepper learns it by FailDelivery,
+/// as the message engine's ack timeout tells it.
+RouteResult DriveWithCrash(BacktrackingStepper* stepper, Network net,
+                           PeerId source, KeyId target, uint32_t crash_at,
+                           Exercised* seen) {
+  stepper->Start(net, source, target);
+  uint32_t forwards = 0;
+  while (!stepper->done() && !stepper->OverBudget(net)) {
+    const RouteStep step = stepper->Step(net);
+    seen->dead_probes += step.dead_probes;
+    if (step.kind == StepKind::kForward && ++forwards == crash_at) {
+      net.CrashMany({step.to});
+      if (stepper->FailDelivery(net)) ++seen->failed_deliveries;
+    }
+  }
+  if (!stepper->done()) stepper->Abandon(net);
+  seen->longest_route =
+      std::max(seen->longest_route, stepper->result().path.size());
+  return stepper->result();
+}
+
+/// A ring with no long links: routes walk it neighbor by neighbor, so
+/// they run to a thousand hops and more and grow the visited set's table.
+Network BareRing(size_t n, uint64_t seed) {
+  Network net;
+  Rng rng(seed);
+  for (size_t i = 0; i < n; ++i) {
+    net.Join(KeyId::FromUnit(rng.NextDouble()), DegreeCaps{8, 8});
+  }
+  return net;
+}
+
+TEST(RouteStepperTest, ReusedSteppersMatchFreshOnesAcrossManyRoutes) {
+  Network crashed = LinkedNetwork(400, 31);
+  Rng crash_rng(32);
+  std::vector<PeerId> victims = crashed.AlivePeers();
+  for (size_t i = 0; i < victims.size(); ++i) {  // Fisher-Yates shuffle.
+    std::swap(victims[i],
+              victims[i + static_cast<size_t>(
+                               crash_rng.UniformInt(victims.size() - i))]);
+  }
+  victims.resize(victims.size() / 4);
+  crashed.CrashMany(victims);
+  const Network ring = BareRing(3000, 33);
+
+  BacktrackingStepper reused_backtracking;
+  GreedyStepper reused_greedy;
+  Exercised backtracking_seen;
+  size_t greedy_dead_probes = 0;
+  Rng rng(34);
+  for (int q = 0; q < 2000; ++q) {
+    // Every 100th route crosses the bare ring: a long route, after and
+    // before which the short ones reuse its grown tables.
+    const Network& net = q % 100 == 99 ? ring : crashed;
+    const std::vector<PeerId> peers = net.AlivePeers();
+    const KeyId key = KeyId::FromUnit(rng.NextDouble());
+    const PeerId source =
+        peers[static_cast<size_t>(rng.UniformInt(peers.size()))];
+    const uint32_t crash_at = static_cast<uint32_t>(q % 4);  // 0 = none.
+
+    BacktrackingStepper fresh_backtracking;
+    Exercised ignored;
+    ExpectSameRoute(DriveWithCrash(&reused_backtracking, net, source, key,
+                                   crash_at, &backtracking_seen),
+                    DriveWithCrash(&fresh_backtracking, net, source, key,
+                                   crash_at, &ignored));
+
+    GreedyStepper fresh_greedy;
+    reused_greedy.Start(net, source, key);
+    while (!reused_greedy.done()) {
+      greedy_dead_probes += reused_greedy.Step(net).dead_probes;
+    }
+    ExpectSameRoute(reused_greedy.result(),
+                    fresh_greedy.Run(net, source, key));
+    ExpectSameRoute(reused_greedy.Run(net, source, key),
+                    fresh_greedy.result());
+  }
+  EXPECT_GT(backtracking_seen.dead_probes, 1000u);
+  EXPECT_GT(backtracking_seen.failed_deliveries, 1000u);
+  EXPECT_GT(backtracking_seen.longest_route, 1000u);
+  EXPECT_GT(greedy_dead_probes, 1000u);
+}
+
+TEST(PeerIdSetTest, AgreesWithUnorderedSetThroughGrowthAndClear) {
+  PeerIdSet set;
+  std::unordered_set<PeerId> reference;
+  Rng rng(35);
+  // Each round draws ids from a range of its own size, so small rounds
+  // repeat ids and large ones grow the table; clear() between rounds
+  // reuses whatever table the largest round left.
+  const size_t sizes[] = {0, 1, 7, 5000, 3, 64, 20000, 2, 300, 1};
+  for (const size_t size : sizes) {
+    set.clear();
+    reference.clear();
+    const uint64_t range = 2 * size + 1;
+    for (size_t i = 0; i < 2 * size + 4; ++i) {
+      PeerId id = static_cast<PeerId>(rng.UniformInt(range));
+      // The extremes: 0, and the id the table uses to mark free slots.
+      if (i % 97 == 1) id = 0;
+      if (i % 89 == 2) id = UINT32_MAX;
+      const PeerId probe = static_cast<PeerId>(rng.UniformInt(range));
+      ASSERT_EQ(set.contains(probe), reference.count(probe) != 0);
+      ASSERT_EQ(set.insert(id), reference.insert(id).second);
+      ASSERT_TRUE(set.contains(id));
+    }
+    for (uint64_t id = 0; id < range; ++id) {
+      ASSERT_EQ(set.contains(static_cast<PeerId>(id)),
+                reference.count(static_cast<PeerId>(id)) != 0);
+    }
+    ASSERT_EQ(set.contains(UINT32_MAX), reference.count(UINT32_MAX) != 0);
+  }
+  set.clear();
+  for (PeerId id : {PeerId{0}, PeerId{1}, PeerId{4999}, UINT32_MAX}) {
+    EXPECT_FALSE(set.contains(id));
+  }
+}
+
 // ---- Oracle: reference step kernels --------------------------------------
 //
 // Straightforward versions of both step algorithms, read through the
