@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <limits>
+
 #include "keyspace/gnutella_distribution.h"
 #include "overlay/kleinberg/kleinberg_overlay.h"
 #include "overlay/oscar/oscar_overlay.h"
@@ -85,18 +87,23 @@ BENCHMARK(BM_BacktrackingRouteUnderChurn);
 
 /// The message engine's traffic shape without the routing: arrivals
 /// pre-scheduled in time order, and chains that keep a fixed number of
-/// events in flight until the arrivals run out.
+/// events in flight until the budget runs out.
 struct DispatchLoad {
   EventEngine engine;
   Rng rng{20};
-  size_t arrivals_left = 0;
+  // Events left before the chains stop: each arrival spends one, and
+  // so does each chain event when `chains_spend` is set.
+  size_t budget = 0;
+  bool chains_spend = false;
 };
 
 void ScheduleChainEvent(DispatchLoad* load) {
   // 64 chains at a mean gap of 80 ms fire about eight events per 10 ms
   // arrival, close to a sim-steady lookup's events.
   load->engine.ScheduleAfter(160.0 * load->rng.NextDouble(), [load] {
-    if (load->arrivals_left > 0) ScheduleChainEvent(load);
+    if (load->budget == 0) return;
+    if (load->chains_spend) --load->budget;
+    ScheduleChainEvent(load);
   });
 }
 
@@ -109,17 +116,36 @@ void BM_EventDispatch(benchmark::State& state) {
   constexpr int kInFlight = 64;
   for (auto _ : state) {
     DispatchLoad load;
-    load.arrivals_left = kArrivals;
+    load.budget = kArrivals;
     SimTime at = 0.0;
     for (size_t i = 0; i < kArrivals; ++i) {
       at += 20.0 * load.rng.NextDouble();
-      load.engine.ScheduleAt(at, [&load] { --load.arrivals_left; });
+      load.engine.ScheduleAt(at, [&load] { --load.budget; });
     }
     for (int i = 0; i < kInFlight; ++i) ScheduleChainEvent(&load);
     benchmark::DoNotOptimize(load.engine.Run());
   }
 }
 BENCHMARK(BM_EventDispatch)->Unit(benchmark::kMillisecond);
+
+/// The heap path alone: the same 64 chains, no arrivals, and one event
+/// at the largest finite time holding the sorted run's tail, so every
+/// chain event is earlier than the tail and goes through the heap. One
+/// batch is 900k chain events, so 1 ms per batch is about 1.1 ns per
+/// event.
+void BM_EventDispatchHeap(benchmark::State& state) {
+  constexpr size_t kChainEvents = 900000;
+  constexpr int kInFlight = 64;
+  for (auto _ : state) {
+    DispatchLoad load;
+    load.budget = kChainEvents;
+    load.chains_spend = true;
+    load.engine.ScheduleAt(std::numeric_limits<double>::max(), [] {});
+    for (int i = 0; i < kInFlight; ++i) ScheduleChainEvent(&load);
+    benchmark::DoNotOptimize(load.engine.Run());
+  }
+}
+BENCHMARK(BM_EventDispatchHeap)->Unit(benchmark::kMillisecond);
 
 /// One batch of 10k lookups through a fresh EventEngine and MessageSim
 /// on a 3000-peer network: arrivals every 10 ms on average, default

@@ -10,8 +10,10 @@
 # may carry wall-clock numbers. oscar_sim runs the four hostile
 # scenarios (every fault and repair path) plus baseline, rolling-churn
 # and flash-crowd (every lookup submitted at t=0: the all-ties case the
-# event queue must dispatch in schedule order); oscar_serve sweeps rate
-# limiting off and on over Zipf-hot keys.
+# event queue must dispatch in schedule order), with the queue-depth
+# sampler on every 5 virtual ms, so the traces also carry each peer's
+# service-queue depth and the in-flight count through every run;
+# oscar_serve sweeps rate limiting off and on over Zipf-hot keys.
 
 set -euo pipefail
 
@@ -26,7 +28,7 @@ oscar_sim)
   export OSCAR_BENCH_SIZE=150 OSCAR_BENCH_QUERIES=80
   scenarios=(partition-heal repair-vs-churn adversarial-hotkeys
              cascade-slowdown baseline rolling-churn flash-crowd)
-  args=("${scenarios[@]}")
+  args=(--queue-cadence-ms 5 "${scenarios[@]}")
   ;;
 oscar_serve)
   export OSCAR_BENCH_SIZE=300

@@ -23,10 +23,9 @@ void MessageSim::SampleTimelines() {
        static_cast<uint32_t>(backlog_.size()),
        static_cast<uint32_t>(active_));
   for (PeerId peer = 0; peer < peers_.size(); ++peer) {
-    const size_t depth = peers_[peer].queue.size();
+    const uint32_t depth = peers_[peer].depth;
     if (depth > 0) {
-      Emit(TraceKind::kQueueDepth, kTraceNone, peer, kTraceNone,
-           static_cast<uint32_t>(depth));
+      Emit(TraceKind::kQueueDepth, kTraceNone, peer, kTraceNone, depth);
     }
   }
   // Keep ticking only while lookups are live — a free-running sampler
@@ -99,12 +98,18 @@ MessageSim::PeerState& MessageSim::peer_state(PeerId peer) {
 
 void MessageSim::EnqueueAt(uint64_t id, PeerId peer) {
   PeerState& state = peer_state(peer);
-  state.queue.push_back(id);
-  if (!state.busy) BeginService(peer);
+  if (state.depth++ == 0) {
+    // An idle peer: the message goes straight into service.
+    state.head = id;
+    state.tail = id;
+    BeginService(peer);
+  } else {
+    lookups_[state.tail]->next_queued = id;
+    state.tail = id;
+  }
 }
 
 void MessageSim::BeginService(PeerId peer) {
-  peer_state(peer).busy = true;
   engine_->ScheduleAfter(ServiceMsFor(peer),
                          [this, peer] { EndService(peer); });
 }
@@ -132,10 +137,11 @@ double MessageSim::ServiceMsFor(PeerId peer) const {
 
 void MessageSim::EndService(PeerId peer) {
   PeerState& state = peer_state(peer);
-  const uint64_t id = state.queue.front();
-  state.queue.pop_front();
-  state.busy = false;
-  if (!state.queue.empty()) BeginService(peer);
+  const uint64_t id = state.head;
+  if (--state.depth > 0) {
+    state.head = lookups_[id]->next_queued;
+    BeginService(peer);
+  }
   if (!net_->alive(peer)) {
     // The peer crashed with this message aboard. Nobody answers; the
     // upstream peer notices through its ack timeout.
@@ -305,9 +311,11 @@ void MessageSim::Finish(uint64_t id) {
   }
 }
 
-double MessageSim::HopDelayMs(PeerId to) const {
+double MessageSim::HopDelayMs(PeerId to) {
   if (options_.zero_latency) return 0.0;
-  return LatencyModel::DelayForKey(net_->key(to));
+  double& delay = peer_state(to).hop_delay_ms;
+  if (delay < 0.0) delay = LatencyModel::DelayForKey(net_->key(to));
+  return delay;
 }
 
 MessageSimReport MessageSim::Report() const {

@@ -21,6 +21,14 @@
 //    at most max_in_flight of them, and their visited sets keep their
 //    tables. Start resets every field a route reads, so reuse cannot
 //    change an outcome.
+//  - A peer's service FIFO is intrusive: the peer holds its head, tail
+//    and depth, and each queued lookup links to the next. A lookup has
+//    one message, so it waits in at most one queue, and it stays active
+//    while it does, so the link lives in its route record. An idle peer
+//    costs no queue allocation.
+//  - The hop delay to a peer is LatencyModel::DelayForKey of its key,
+//    computed on the first transmission to it and memoized in its
+//    per-peer state: a peer id's key never changes (joins append ids).
 
 #ifndef OSCAR_SIM_MESSAGE_SIM_H_
 #define OSCAR_SIM_MESSAGE_SIM_H_
@@ -138,6 +146,10 @@ class MessageSim {
   /// Aggregates everything observed so far (valid mid-run too).
   MessageSimReport Report() const;
 
+  /// The transmission delay to `to`: LatencyModel::DelayForKey of its
+  /// key, memoized per peer, or 0 under zero_latency.
+  double HopDelayMs(PeerId to);
+
  private:
   // The state of an active lookup: its route, and its one message's
   // current transmission. A lookup has exactly one message at a time
@@ -149,11 +161,16 @@ class MessageSim {
     PeerId pending_from = 0;    // Sender of the in-flight transmission.
     PeerId pending_dest = 0;    // Its destination.
     SimTime sent_at = 0.0;      // When it left (after any dead probes).
+    uint64_t next_queued = 0;   // The lookup behind it in a service FIFO.
   };
 
+  // A peer's service FIFO (its head is in service, so the peer is busy
+  // exactly while depth > 0) and its memoized hop delay.
   struct PeerState {
-    std::deque<uint64_t> queue;
-    bool busy = false;
+    uint64_t head = 0;
+    uint64_t tail = 0;
+    uint32_t depth = 0;
+    double hop_delay_ms = -1.0;  // Negative until the first transmission.
   };
 
   void Admit(uint64_t id);
@@ -186,7 +203,6 @@ class MessageSim {
   void SampleTimelines();
   void SendPending(uint64_t id, double extra_delay_ms);
   void Deliver(uint64_t id);
-  double HopDelayMs(PeerId to) const;
   /// Per-message service time of `peer` (slow peers pay the multiplier).
   double ServiceMsFor(PeerId peer) const;
   PeerState& peer_state(PeerId peer);

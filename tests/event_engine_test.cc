@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <ostream>
 #include <utility>
 #include <vector>
@@ -78,6 +79,25 @@ TEST(EventEngineTest, NegativeDelayClampsToNow) {
   EXPECT_DOUBLE_EQ(fired_at, 7.0);
 }
 
+TEST(EventEngineTest, EqualTimesSplitBetweenRunAndHeapKeepScheduleOrder) {
+  EventEngine engine;
+  std::vector<int> order;
+  auto record = [&order](int label) {
+    return [&order, label] { order.push_back(label); };
+  };
+  engine.ScheduleAt(10.0, record(0));  // Run.
+  engine.ScheduleAt(20.0, record(1));  // Run.
+  engine.ScheduleAt(10.0, record(2));  // Heap: earlier than the run tail.
+  engine.ScheduleAt(20.0, record(3));  // Run: ties the tail.
+  engine.ScheduleAt(10.0, record(4));  // Heap.
+  engine.ScheduleAt(20.0, [&engine, &order] {
+    order.push_back(5);
+    engine.ScheduleAt(20.0, [&order] { order.push_back(6); });
+  });
+  EXPECT_EQ(engine.Run(), 7u);
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 1, 3, 5, 6}));
+}
+
 // ---- Model test ----------------------------------------------------------
 //
 // Seeded random schedules run on the engine and on a naive reference
@@ -86,14 +106,18 @@ TEST(EventEngineTest, NegativeDelayClampsToNow) {
 // partial Run(max_events) calls, and follow-ups from inside handlers,
 // each a pure function of (seed, event label) — and must agree on the
 // dispatch order, on now() at every dispatch, and on pending() and the
-// dispatch count after every Run.
+// dispatch count after every Run. Every time is finite and, after the
+// clamp to now(), non-negative: the engine orders events by the bit
+// patterns of their times, which is the numeric order only there.
 
-/// One scheduling call, relative to the clock when it is issued:
-/// ScheduleAt(now + offset) or ScheduleAfter(offset). Negative offsets
-/// exercise clamping.
+/// One scheduling call: ScheduleAt(offset) when `absolute`, otherwise
+/// relative to the clock when it is issued, ScheduleAt(now + offset) or
+/// ScheduleAfter(offset). Negative offsets and absolute times behind
+/// the clock exercise clamping.
 struct ScheduleOp {
   bool after = false;
   double offset = 0.0;
+  bool absolute = false;
 };
 
 /// How a schedule draws its times.
@@ -101,26 +125,70 @@ enum class TimeMix {
   kAllAtZero,  // Every event at t=0: one long tie.
   kCoarse,     // A few integer times: many ties.
   kBursts,     // Monotone runs mixed with out-of-order and past times.
+  kExtremes,   // Signed zeros, subnormals and huge finite times.
+  kDeepHeap,   // A far run tail; handlers fan out thousands of events.
 };
 
-double DrawOffset(TimeMix mix, Rng* rng) {
+/// Absolute times at the edges of the finite non-negative doubles (and
+/// -0.0, which must tie +0.0).
+constexpr double kExtremeTimes[] = {
+    -0.0,
+    0.0,
+    std::numeric_limits<double>::denorm_min(),
+    1e-300,
+    1.0,
+    1e300,
+    std::numeric_limits<double>::max() / 2,
+    0x1.ffffffffffffep+1023,  // The largest finite double's predecessor.
+    std::numeric_limits<double>::max(),
+};
+
+/// One scattered or follow-up scheduling call.
+ScheduleOp DrawOp(TimeMix mix, Rng* rng) {
+  ScheduleOp op;
+  op.after = rng->UniformInt(2) == 0;
   switch (mix) {
     case TimeMix::kAllAtZero:
-      return 0.0;
+      return op;
     case TimeMix::kCoarse:
-      return static_cast<double>(rng->UniformInt(4));
+      op.offset = static_cast<double>(rng->UniformInt(4));
+      return op;
+    case TimeMix::kExtremes:
+      // Half absolute extremes; the rest small relative steps, which
+      // stay finite even from the largest time (they round back to it).
+      if (rng->UniformInt(2) == 0) {
+        constexpr size_t kCount = sizeof(kExtremeTimes) / sizeof(double);
+        op.offset = kExtremeTimes[rng->UniformInt(kCount)];
+        op.absolute = true;
+        return op;
+      }
+      op.offset = rng->UniformInt(3) == 0 ? -0.0 : rng->NextDouble();
+      return op;
     case TimeMix::kBursts:
+    case TimeMix::kDeepHeap:
       break;
   }
   // A fifth land in the past, the rest anywhere in the next 50 ms.
-  if (rng->UniformInt(5) == 0) return -1.0 - 10.0 * rng->NextDouble();
-  return 50.0 * rng->NextDouble();
+  if (rng->UniformInt(5) == 0) {
+    op.offset = -1.0 - 10.0 * rng->NextDouble();
+  } else {
+    op.offset = 50.0 * rng->NextDouble();
+  }
+  return op;
 }
 
 /// An external burst: a monotone run (the sorted run's traffic), then a
-/// few out-of-order events.
+/// few out-of-order events. Under kDeepHeap: one or two roots, then an
+/// event far in the future that stays the run's tail, so every
+/// follow-up of the roots takes the heap path.
 std::vector<ScheduleOp> DrawBurst(TimeMix mix, Rng* rng) {
   std::vector<ScheduleOp> ops;
+  if (mix == TimeMix::kDeepHeap) {
+    const size_t roots = 1 + static_cast<size_t>(rng->UniformInt(2));
+    for (size_t i = 0; i < roots; ++i) ops.push_back(DrawOp(mix, rng));
+    ops.push_back({false, 1e9, false});
+    return ops;
+  }
   const size_t monotone = static_cast<size_t>(rng->UniformInt(40));
   double offset = mix == TimeMix::kAllAtZero ? 0.0 : 10.0 * rng->NextDouble();
   for (size_t i = 0; i < monotone; ++i) {
@@ -131,24 +199,24 @@ std::vector<ScheduleOp> DrawBurst(TimeMix mix, Rng* rng) {
     }
   }
   const size_t scattered = static_cast<size_t>(rng->UniformInt(12));
-  for (size_t i = 0; i < scattered; ++i) {
-    ops.push_back({rng->UniformInt(2) == 0, DrawOffset(mix, rng)});
-  }
+  for (size_t i = 0; i < scattered; ++i) ops.push_back(DrawOp(mix, rng));
   return ops;
 }
 
 /// Follow-ups scheduled by the handler of event `label`, at depth
 /// `depth` of the follow-up tree: a pure function of the arguments, so
 /// both sides issue the same calls when they dispatch the same event.
+/// Under kDeepHeap every event to depth 10 has two, so each root brings
+/// 2047 events and the heap's handler slots are freed and reused
+/// thousands of times while up to a thousand are pending.
 std::vector<ScheduleOp> FollowUpsOf(uint64_t seed, TimeMix mix,
                                     uint64_t label, int depth) {
-  if (depth >= 3) return {};
+  const bool deep = mix == TimeMix::kDeepHeap;
+  if (depth >= (deep ? 10 : 3)) return {};
   Rng rng = Rng::Fork(seed, label, static_cast<uint64_t>(depth));
-  std::vector<ScheduleOp> ops(static_cast<size_t>(rng.UniformInt(3)));
-  for (ScheduleOp& op : ops) {
-    op.after = rng.UniformInt(2) == 0;
-    op.offset = DrawOffset(mix, &rng);
-  }
+  const size_t count = deep ? 2 : static_cast<size_t>(rng.UniformInt(3));
+  std::vector<ScheduleOp> ops(count);
+  for (ScheduleOp& op : ops) op = DrawOp(mix, &rng);
   return ops;
 }
 
@@ -168,7 +236,9 @@ class ReferenceEngine {
  public:
   void Schedule(const ScheduleOp& op, uint64_t label, int depth) {
     SimTime at;
-    if (op.after) {
+    if (op.absolute) {
+      at = op.offset;
+    } else if (op.after) {
       at = now_ + (op.offset < 0.0 ? 0.0 : op.offset);
     } else {
       at = now_ + op.offset;
@@ -223,7 +293,9 @@ class EngineDriver {
         Schedule(child, depth + 1);
       }
     };
-    if (op.after) {
+    if (op.absolute) {
+      engine_.ScheduleAt(op.offset, handler);
+    } else if (op.after) {
       engine_.ScheduleAfter(op.offset, handler);
     } else {
       engine_.ScheduleAt(engine_.now() + op.offset, handler);
@@ -284,6 +356,11 @@ TEST(EventEngineModelTest, MatchesSortedReferenceOnRandomSchedules) {
     CheckAgainstReference(seed, TimeMix::kAllAtZero);
     CheckAgainstReference(seed, TimeMix::kCoarse);
     CheckAgainstReference(seed, TimeMix::kBursts);
+    CheckAgainstReference(seed, TimeMix::kExtremes);
+  }
+  // Up to 24k events each, scanned quadratically by the reference.
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    CheckAgainstReference(seed, TimeMix::kDeepHeap);
   }
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "overlay/kleinberg/kleinberg_overlay.h"
 #include "sim/scenario.h"
@@ -22,6 +25,13 @@ Network LinkedNetwork(size_t n, uint64_t seed) {
   }
   return net;
 }
+
+/// Captures appended events for assertions.
+class VectorTraceSink : public BasicTraceSink {
+ public:
+  void Append(const TraceEvent& event) override { events.push_back(event); }
+  std::vector<TraceEvent> events;
+};
 
 MessageSimOptions FastOptions() {
   MessageSimOptions options;
@@ -129,6 +139,12 @@ TEST(MessageSimTest, PerPeerServiceQueueSerializesASaturatedSource) {
   Rng rng(33);
   MessageSimOptions options = FastOptions();
   options.service_ms = 10.0;  // Decision time dominates; delays are zero.
+  // Every lifecycle event lands on a multiple of 10 ms; the samples, at
+  // multiples of 3125/1024 ms (exact in binary), never do before the
+  // 2048th tick, so no sample ties a service or a delivery.
+  options.queue_depth_cadence_ms = 3125.0 / 1024.0;
+  VectorTraceSink sink;
+  options.sink = &sink;
   MessageSim sim(&engine, &net, options, &rng);
   Rng query_rng(34);
   const std::vector<PeerId> alive = net.AlivePeers();
@@ -144,6 +160,104 @@ TEST(MessageSimTest, PerPeerServiceQueueSerializesASaturatedSource) {
   // waits through at least the 19 services ahead of it.
   EXPECT_GE(report.latency.max_ms, 19 * options.service_ms);
   EXPECT_GT(report.mean_in_flight, 1.0);
+
+  // The sampler's queue depths against a reference count replayed from
+  // the lifecycle events, in emission (= dispatch) order. Delays are
+  // zero and nothing is lost, so a message joins the queue of the peer
+  // it starts at or is sent to, and leaves it when that peer's service
+  // ends: with the message's next hop, or with the lookup's end.
+  std::vector<uint32_t> depth(net.size(), 0);
+  std::vector<PeerId> at(20, 0);
+  size_t ticks = 0;
+  uint32_t deepest = 0;
+  for (size_t i = 0; i < sink.events.size(); ++i) {
+    const TraceEvent& event = sink.events[i];
+    switch (event.kind) {
+      case TraceKind::kStart:
+        at[event.lookup] = event.peer;
+        ++depth[event.peer];
+        break;
+      case TraceKind::kForward:
+      case TraceKind::kBacktrack:
+        ASSERT_EQ(event.peer, at[event.lookup]);
+        --depth[event.peer];
+        at[event.lookup] = event.to;
+        ++depth[event.to];
+        break;
+      case TraceKind::kDone:
+      case TraceKind::kFailed:
+        --depth[at[event.lookup]];
+        break;
+      case TraceKind::kInFlight: {
+        // One tick: the in-flight sample, then one kQueueDepth per
+        // nonempty queue in peer order.
+        ++ticks;
+        std::vector<std::pair<uint32_t, uint32_t>> expected;
+        for (PeerId peer = 0; peer < depth.size(); ++peer) {
+          if (depth[peer] > 0) expected.emplace_back(peer, depth[peer]);
+          deepest = std::max(deepest, depth[peer]);
+        }
+        std::vector<std::pair<uint32_t, uint32_t>> sampled;
+        while (i + 1 < sink.events.size() &&
+               sink.events[i + 1].kind == TraceKind::kQueueDepth) {
+          ++i;
+          sampled.emplace_back(sink.events[i].peer, sink.events[i].info);
+        }
+        ASSERT_EQ(sampled, expected) << "tick " << ticks;
+        break;
+      }
+      default:
+        FAIL() << "unexpected " << TraceKindName(event.kind);
+    }
+  }
+  EXPECT_GT(ticks, 19u);      // Sampled through the whole drain.
+  EXPECT_EQ(deepest, 20u);    // The first tick sees every query queued.
+}
+
+TEST(MessageSimTest, MemoizedHopDelaysMatchTheLatencyModelAfterChurnJoins) {
+  Network net = LinkedNetwork(150, 42);
+  const size_t founders = net.size();
+  EventEngine engine;
+  Rng rng(43);
+  MessageSimOptions options;  // Real latency: every hop is priced.
+  VectorTraceSink sink;
+  options.sink = &sink;
+  MessageSim sim(&engine, &net, options, &rng);
+  Rng query_rng(44);
+  const std::vector<PeerId> alive = net.AlivePeers();
+  for (int q = 0; q < 200; ++q) {
+    const PeerId source =
+        alive[static_cast<size_t>(query_rng.UniformInt(alive.size()))];
+    sim.SubmitLookupAt(static_cast<double>(q), source,
+                       KeyId::FromUnit(query_rng.NextDouble()));
+  }
+  // 60 peers join in three waves while lookups fly.
+  Rng churn_rng(45);
+  KleinbergOverlay overlay;
+  for (double wave : {30.0, 80.0, 130.0}) {
+    engine.ScheduleAt(wave, [&net, &churn_rng, &overlay] {
+      for (int i = 0; i < 20; ++i) {
+        const PeerId joiner = net.Join(
+            KeyId::FromUnit(churn_rng.NextDouble()), DegreeCaps{8, 8});
+        EXPECT_TRUE(overlay.BuildLinks(&net, joiner, &churn_rng).ok());
+      }
+    });
+  }
+  engine.Run();
+  EXPECT_EQ(sim.Report().completed, 200u);
+  ASSERT_EQ(net.size(), founders + 60);
+  // Joiners were sent messages, so their delays were memoized mid-run.
+  size_t to_joiners = 0;
+  for (const TraceEvent& event : sink.events) {
+    if (event.kind == TraceKind::kForward && event.to >= founders) {
+      ++to_joiners;
+    }
+  }
+  EXPECT_GT(to_joiners, 0u);
+  for (PeerId peer = 0; peer < net.size(); ++peer) {
+    EXPECT_EQ(sim.HopDelayMs(peer), LatencyModel::DelayForKey(net.key(peer)))
+        << "peer " << peer;
+  }
 }
 
 TEST(MessageSimTest, LookupsSurviveCrashesRacingDelivery) {
