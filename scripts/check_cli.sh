@@ -57,15 +57,16 @@ expect_ok() {
 expect_reject "unknown flag" --frobnicate
 expect_ok "--help exits 0" --help
 
-# The trace flags oscar_sim and oscar_serve share.
+# The trace flags oscar_sim and oscar_serve share. A trace is always
+# `.otrace` (CSV comes from `oscar_trace F.otrace --csv`), so any other
+# extension is a rejection.
 if [[ "${tool}" != oscar_trace ]]; then
   expect_reject "empty --trace-file= value"       --trace-file=
   expect_reject "missing --trace-file value"      --trace-file
-  expect_reject "duplicate --trace-file"          --trace-file=a.csv --trace-file b.csv
-  expect_reject "bogus --trace-format"            --trace-file=a --trace-format=xml
-  expect_reject "missing --trace-format value"    --trace-file=a --trace-format
-  expect_reject "--trace-format without file"     --trace-format otrace
-  expect_reject "--trace-format= without file"    --trace-format=csv
+  expect_reject "duplicate --trace-file" \
+    --trace-file="${workdir}/a.otrace" --trace-file "${workdir}/b.otrace"
+  expect_reject "--trace-file= with a .csv path"  --trace-file="${workdir}/run.csv"
+  expect_reject "--trace-file with a .trace path" --trace-file "${workdir}/run.trace"
   expect_reject "negative --queue-cadence-ms"     --queue-cadence-ms=-1
   expect_reject "negative --queue-cadence-ms (space form)" --queue-cadence-ms -1
   expect_reject "non-numeric --queue-cadence-ms"  --queue-cadence-ms=soon
@@ -115,7 +116,7 @@ oscar_sim)
     baseline
   expect_ok "cadence zero disables maintenance"  --maintenance-cadence-ms=0 repair-vs-churn
   expect_ok "trace flags in the space form" \
-    --trace-file "${workdir}/run.trace" --trace-format otrace --queue-cadence-ms 5 baseline
+    --trace-file "${workdir}/run.otrace" --queue-cadence-ms 5 baseline
   ;;
 oscar_serve)
   expect_reject "positional argument"       firehose
@@ -149,7 +150,7 @@ oscar_serve)
   # One real (tiny) run: sweep parsing end to end, including rate 0.
   expect_ok "tiny sweep runs"  --lookups=400 --rates=0,2000 --policies=none,drop-tail
   expect_ok "tiny sweep runs (space form)" \
-    --lookups 400 --rates 0,2000 --policies none --trace-file "${workdir}/run.csv"
+    --lookups 400 --rates 0,2000 --policies none --trace-file "${workdir}/run.otrace"
   ;;
 oscar_trace)
   # A one-event trace (columnar_trace.h, little-endian): the header, one

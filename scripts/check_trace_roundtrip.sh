@@ -3,8 +3,10 @@
 #
 #   scripts/check_trace_roundtrip.sh oscar_sim oscar_trace oscar_serve
 #
-#  1. `oscar_trace --csv` on a binary trace reproduces the direct CSV
-#     sink's bytes exactly, for both CLIs: the encoding loses nothing.
+#  1. Both CLIs write a `.otrace`, and `oscar_trace --csv` decodes each
+#     to CSV. (That the decoded rows equal a direct CsvTraceSink's is
+#     pinned in process by trace_test's CsvReplayMatchesDirectSink
+#     tests, for scenario and serve traces alike.)
 #  2. The CSV carries `scenario` as a proper column: exactly one header
 #     line, no `# scenario=` comment interleaving.
 #  3. The summary/heatmap mode succeeds on a good file, and a truncated
@@ -35,21 +37,13 @@ run() {
   fi
 }
 
-# --- 1. binary -> CSV replay == direct CSV sink (sim and serve) ------
-for ext in otrace csv; do
-  run "${sim}" "${scenarios[@]}" --trace-file "${workdir}/sim.${ext}"
-  run "${serve}" --lookups=4000 --rates=0,4000 "--trace-file=${workdir}/serve.${ext}"
-done
+# --- 1. each CLI's .otrace decodes to CSV ---------------------------
+run "${sim}" "${scenarios[@]}" --trace-file "${workdir}/sim.otrace"
+run "${serve}" --lookups=4000 --rates=0,4000 "--trace-file=${workdir}/serve.otrace"
 for name in sim serve; do
   base="${workdir}/${name}"
-  if ! "${tracer}" "${base}.otrace" --csv > "${base}.replay.csv" 2>/dev/null; then
+  if ! "${tracer}" "${base}.otrace" --csv > "${base}.csv" 2>/dev/null; then
     echo "FAIL ${name}: oscar_trace --csv exited nonzero" >&2
-    fail=1
-  fi
-  if ! cmp -s "${base}.csv" "${base}.replay.csv"; then
-    echo "FAIL ${name}: oscar_trace --csv differs from the direct CSV sink" >&2
-    # diff exits 1 on a difference; keep it from tripping errexit.
-    diff "${base}.csv" "${base}.replay.csv" | head -10 >&2 || true
     fail=1
   fi
 done
@@ -94,6 +88,6 @@ if [[ "${truncated_status}" -ne 2 ]]; then
 fi
 
 if [[ "${fail}" -eq 0 ]]; then
-  echo "check_trace_roundtrip: CSV round trip exact, analyzer and truncation checks OK"
+  echo "check_trace_roundtrip: CSV decode, analyzer and truncation checks OK"
 fi
 exit "${fail}"

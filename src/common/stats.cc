@@ -93,22 +93,6 @@ void LogHistogram::Record(double value) {
   sum_ += value;
 }
 
-void LogHistogram::Merge(const LogHistogram& other) {
-  if (other.count_ == 0) return;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 double LogHistogram::Mean() const {
   return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
 }

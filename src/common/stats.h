@@ -37,12 +37,9 @@ double Percentile(std::vector<double> values, double pct);
 /// Bucket boundaries grow geometrically (kBucketsPerOctave subdivisions
 /// per power of two, ~2.2% relative width), so memory is constant no
 /// matter how many samples are recorded and a percentile query costs one
-/// pass over the bucket array. Every instance shares the same fixed
-/// layout, which makes Merge a plain element-wise add — counts are
-/// integers, so a merged histogram is independent of the order (or the
-/// thread) the shards were filled in. That order-independence is what
-/// lets per-worker shards sum to a byte-stable summary at any worker
-/// count.
+/// pass over the bucket array. Counts are integers, so the buckets,
+/// min, max and every percentile are independent of the order values
+/// were recorded in; only the float sum behind Mean() is not.
 ///
 /// Values below kMinValue land in an underflow bucket reported as
 /// kMinValue; values at or above kMaxValue land in an overflow bucket
@@ -57,8 +54,6 @@ class LogHistogram {
   LogHistogram();
 
   void Record(double value);
-  /// Element-wise add of `other`'s buckets and exact accumulators.
-  void Merge(const LogHistogram& other);
 
   uint64_t Count() const { return count_; }
   double Mean() const;

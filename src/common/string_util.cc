@@ -26,7 +26,7 @@ bool ParseUint(const std::string& text, uint64_t* out) {
   char* end = nullptr;
   errno = 0;
   const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-  if (errno == ERANGE || end == nullptr || *end != '\0') return false;
+  if (errno == ERANGE || end != text.c_str() + text.size()) return false;
   *out = parsed;
   return true;
 }
@@ -38,7 +38,7 @@ bool ParseDouble(const std::string& text, double* out) {
   char* end = nullptr;
   errno = 0;
   const double parsed = std::strtod(text.c_str(), &end);
-  if (errno == ERANGE || end == nullptr || *end != '\0' ||
+  if (errno == ERANGE || end != text.c_str() + text.size() ||
       !std::isfinite(parsed)) {
     return false;
   }

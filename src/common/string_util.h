@@ -28,13 +28,15 @@ std::string FormatDouble(double value, int digits);
 std::string FormatPercent(double fraction, int digits = 1);
 
 /// Parses a whole decimal unsigned integer. Rejects an empty string,
-/// anything before the first digit (sign, whitespace), trailing text,
-/// and values that overflow uint64_t. `out` is untouched on failure.
+/// anything before the first digit (sign, whitespace), trailing text
+/// (an embedded NUL included), and values that overflow uint64_t.
+/// `out` is untouched on failure.
 bool ParseUint(const std::string& text, uint64_t* out);
 
 /// Parses a whole floating-point number. Rejects an empty string,
-/// leading whitespace, trailing text, values out of double's range,
-/// and non-finite values (nan, inf). `out` is untouched on failure.
+/// leading whitespace, trailing text (an embedded NUL included), values
+/// out of double's range, and non-finite values (nan, inf). `out` is
+/// untouched on failure.
 bool ParseDouble(const std::string& text, double* out);
 
 /// The command-line tools' one value-flag grammar: true when args[*i]

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <thread>
 #include <vector>
@@ -10,22 +11,12 @@
 namespace oscar {
 
 void ParallelForWorkers(uint32_t threads, size_t count,
-                        const std::function<void(uint32_t, size_t)>& fn,
-                        PoolGauge* gauge) {
-  if (gauge != nullptr) gauge->Reset(count);
+                        const std::function<void(uint32_t, size_t)>& fn) {
   if (count == 0) return;
   const uint32_t workers = static_cast<uint32_t>(
       std::min<size_t>(std::max(1u, threads), count));
   if (workers == 1) {
-    for (size_t i = 0; i < count; ++i) {
-      if (gauge != nullptr) {
-        gauge->dispatched_.fetch_add(1, std::memory_order_relaxed);
-      }
-      fn(0, i);
-      if (gauge != nullptr) {
-        gauge->completed_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+    for (size_t i = 0; i < count; ++i) fn(0, i);
     return;
   }
   // Dynamic index stealing: per-index work is highly variable (a walk
@@ -35,13 +26,7 @@ void ParallelForWorkers(uint32_t threads, size_t count,
   const auto drain = [&](uint32_t worker) {
     for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < count;
          i = next.fetch_add(1, std::memory_order_relaxed)) {
-      if (gauge != nullptr) {
-        gauge->dispatched_.fetch_add(1, std::memory_order_relaxed);
-      }
       fn(worker, i);
-      if (gauge != nullptr) {
-        gauge->completed_.fetch_add(1, std::memory_order_relaxed);
-      }
     }
   };
   std::vector<std::thread> extra;
@@ -55,8 +40,8 @@ void ParallelForWorkers(uint32_t threads, size_t count,
 
 void ParallelFor(uint32_t threads, size_t count,
                  const std::function<void(size_t)>& fn) {
-  ParallelForWorkers(
-      threads, count, [&fn](uint32_t, size_t i) { fn(i); }, nullptr);
+  ParallelForWorkers(threads, count,
+                     [&fn](uint32_t, size_t i) { fn(i); });
 }
 
 uint32_t ThreadCountFromEnv() {

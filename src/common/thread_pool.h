@@ -15,60 +15,11 @@
 #ifndef OSCAR_COMMON_THREAD_POOL_H_
 #define OSCAR_COMMON_THREAD_POOL_H_
 
-#include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 
 namespace oscar {
-
-/// Live progress gauges over one ParallelFor batch: how many indices
-/// have been handed to workers, how many have finished, and therefore
-/// how deep the remaining queue is and how much work is in flight right
-/// now. Admission-control layers (serve/admission.h) consume exactly
-/// these two numbers — a wall-clock deployment reads them off the pool
-/// here, while the deterministic serving simulator feeds the same
-/// policy interface modeled virtual-time depths instead.
-///
-/// Reset() is called by ParallelFor at batch start; reads are safe from
-/// any thread during and after the batch (monotonic counters, relaxed
-/// ordering — gauges, not synchronization).
-class PoolGauge {
- public:
-  size_t total() const { return total_; }
-  size_t Dispatched() const {
-    // Workers over-fetch one index each when the counter runs dry;
-    // clamp so the gauge never reports phantom work.
-    return std::min(dispatched_.load(std::memory_order_relaxed), total_);
-  }
-  size_t Completed() const {
-    return completed_.load(std::memory_order_relaxed);
-  }
-  /// Indices currently being executed by some worker.
-  size_t InFlight() const {
-    const size_t done = Completed();
-    const size_t out = Dispatched();
-    return out > done ? out - done : 0;
-  }
-  /// Indices not yet handed to any worker.
-  size_t QueueDepth() const { return total_ - Dispatched(); }
-
- private:
-  friend void ParallelForWorkers(
-      uint32_t, size_t, const std::function<void(uint32_t, size_t)>&,
-      PoolGauge*);
-
-  void Reset(size_t total) {
-    total_ = total;
-    dispatched_.store(0, std::memory_order_relaxed);
-    completed_.store(0, std::memory_order_relaxed);
-  }
-
-  size_t total_ = 0;
-  std::atomic<size_t> dispatched_{0};
-  std::atomic<size_t> completed_{0};
-};
 
 /// Runs fn(i) for every i in [0, count), using up to `threads` OS
 /// threads (the calling thread counts as one). threads <= 1 runs
@@ -79,14 +30,11 @@ void ParallelFor(uint32_t threads, size_t count,
 
 /// As ParallelFor, but fn(worker, i) also receives the dense index of
 /// the worker thread executing it (0 = the calling thread, worker <
-/// threads). The worker index is stable for the whole batch, which is
-/// what per-worker accumulator shards (e.g. serve/latency_recorder's
-/// histograms) key on — each shard is written by exactly one thread,
-/// no locks, and the shards merge deterministically afterwards.
-/// `gauge`, when non-null, is reset and then tracks the batch live.
+/// threads). The worker index is stable for the whole batch, so
+/// per-worker scratch state (e.g. the serve route phase's steppers) is
+/// only ever touched by one thread, with no locks.
 void ParallelForWorkers(uint32_t threads, size_t count,
-                        const std::function<void(uint32_t, size_t)>& fn,
-                        PoolGauge* gauge = nullptr);
+                        const std::function<void(uint32_t, size_t)>& fn);
 
 /// Worker count from OSCAR_THREADS. Unset, empty, non-numeric, signed,
 /// zero, or above 256 all mean 1 (the deterministic-by-construction

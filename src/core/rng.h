@@ -42,9 +42,6 @@ class Rng {
   /// keep the consumption pattern deterministic and simple).
   double NextGaussian();
 
-  /// A statistically independent child generator.
-  Rng Split() { return Rng(Next() ^ 0x632be59bd9b4e019ULL); }
-
   /// Counter-forked stream: a generator derived purely from
   /// (seed, stream, substream), consuming nothing from any live Rng.
   /// Checkpoint rewiring forks one per (rewire salt, checkpoint, peer)

@@ -7,7 +7,7 @@
 namespace oscar {
 
 LatencySummary SummarizeLatency(std::vector<double> samples_ms) {
-  // The shared log-bucket histogram (also behind serve/latency_recorder)
+  // The shared log-bucket histogram (also behind serve/load_generator)
   // instead of sort-based exact percentiles: constant memory, O(n)
   // instead of O(n log n), and ~2% bucket quantization on the
   // percentiles — well inside the run-to-run spread the message-level

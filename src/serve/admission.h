@@ -4,11 +4,9 @@
 // the system, and how long it may wait before being shed.
 //
 // Policies are deliberately pure decision tables over two gauges —
-// queue depth and per-peer in-flight — so the same object serves both
-// operating modes: a wall-clock deployment feeds it the thread pool's
-// live PoolGauge readings (common/thread_pool.h), while oscar_serve's
-// deterministic summary feeds it modeled virtual-time depths from the
-// queueing simulation. The catalog:
+// queue depth and per-peer in-flight — and read nothing else. Their
+// one caller, LoadGenerator's serve phase, feeds them the modeled
+// virtual-time depths of its queueing simulation. The catalog:
 //
 //   none       admit everything, wait forever (the unprotected
 //              baseline — under overload the queue and tail latency

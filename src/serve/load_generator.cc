@@ -8,6 +8,7 @@
 #include <queue>
 #include <utility>
 
+#include "common/stats.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/network_view.h"
@@ -25,13 +26,25 @@ namespace {
 constexpr uint64_t kRouteStream = 0x10ad;
 constexpr uint64_t kHotKeyStream = 0x407;
 
+LatencyReport Summarize(const LogHistogram& hist) {
+  LatencyReport report;
+  report.count = hist.Count();
+  report.mean_ms = hist.Mean();
+  report.p50_ms = hist.Percentile(50.0);
+  report.p90_ms = hist.Percentile(90.0);
+  report.p99_ms = hist.Percentile(99.0);
+  report.p999_ms = hist.Percentile(99.9);
+  report.max_ms = hist.Max();
+  return report;
+}
+
 }  // namespace
 
 LoadGenerator::LoadGenerator(const TopologySnapshot& snapshot,
                              ServeOptions options)
     : snapshot_(snapshot), options_(std::move(options)) {}
 
-Status LoadGenerator::RoutePhase(ServeReport* report) {
+void LoadGenerator::RoutePhase(ServeReport* report) {
   const Ring& ring = snapshot_.ring();
   const size_t alive = ring.size();
   const NetworkView view(snapshot_);
@@ -54,11 +67,9 @@ Status LoadGenerator::RoutePhase(ServeReport* report) {
 
   routed_.assign(options_.lookups, RoutedLookup{});
   const uint32_t threads = std::max(1u, options_.threads);
-  LatencyRecorder recorder(threads);
   // One stepper per worker: a stepper holds its in-flight route state.
   std::vector<GreedyStepper> steppers(threads);
 
-  PoolGauge gauge;
   const auto wall_start = std::chrono::steady_clock::now();
   ParallelForWorkers(
       threads, options_.lookups,
@@ -77,16 +88,11 @@ Status LoadGenerator::RoutePhase(ServeReport* report) {
         out.messages = result.hops + result.wasted;
         out.success = result.success;
         out.owner = snapshot_.OwnerOf(key).value_or(source);
-        recorder.shard(worker).Record(ServiceMs(out));
-      },
-      &gauge);
+      });
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  if (gauge.Completed() != options_.lookups) {
-    return Status::Error("route phase lost lookups (pool bug)");
-  }
 
   report->routed = options_.lookups;
   report->route_wall_s = wall_s;
@@ -96,22 +102,21 @@ Status LoadGenerator::RoutePhase(ServeReport* report) {
   uint64_t total_messages = 0;
   uint64_t total_service_messages = 0;
   size_t successes = 0;
+  LogHistogram service;
   for (const RoutedLookup& lookup : routed_) {
     total_messages += lookup.messages;
     total_service_messages += lookup.messages == 0 ? 1 : lookup.messages;
     if (lookup.success) ++successes;
+    service.Record(ServiceMs(lookup));
   }
   const double n = static_cast<double>(options_.lookups);
   report->mean_messages = static_cast<double>(total_messages) / n;
   report->route_success_rate = static_cast<double>(successes) / n;
-  report->service = LatencyRecorder::Summarize(recorder.Merged());
-  // The merged histogram's float sum depends on how work stealing
-  // partitioned values across shards (float addition is not
-  // associative); recompute the mean from the integer message total so
-  // the summary stays byte-identical at any thread count.
+  report->service = Summarize(service);
+  // The mean comes from the integer message total, not the histogram's
+  // float sum: one multiply-divide instead of n rounded additions.
   report->service.mean_ms =
       options_.hop_ms * static_cast<double>(total_service_messages) / n;
-  return Status::Ok();
 }
 
 ServeCellReport LoadGenerator::ServeCell(
@@ -255,7 +260,7 @@ ServeCellReport LoadGenerator::ServeCell(
       span_ms > 0.0
           ? static_cast<double>(cell.completed) / span_ms * 1000.0
           : 0.0;
-  cell.latency = LatencyRecorder::Summarize(latency);
+  cell.latency = Summarize(latency);
   return cell;
 }
 
@@ -281,8 +286,7 @@ Result<ServeReport> LoadGenerator::Run() {
   }
 
   ServeReport report;
-  Status routed = RoutePhase(&report);
-  if (!routed.ok()) return routed;
+  RoutePhase(&report);
 
   for (double rate : options_.offered_rates_per_s) {
     // One arrival schedule per rate, shared by every policy in the

@@ -24,8 +24,10 @@
 //
 // Splitting the clocks is what reconciles "drive millions of lookups
 // across a worker pool" with "byte-identical summaries": wall time
-// only ever appears in the throughput line (stderr / bench JSON),
-// never in the summary rows.
+// only ever appears in the throughput line (stderr), never in the
+// summary rows. Every latency digest comes from one LogHistogram
+// filled in index order after the fan-out, so no digest depends on
+// which worker routed which lookup.
 
 #ifndef OSCAR_SERVE_LOAD_GENERATOR_H_
 #define OSCAR_SERVE_LOAD_GENERATOR_H_
@@ -38,10 +40,20 @@
 #include "common/status.h"
 #include "core/topology_snapshot.h"
 #include "serve/admission.h"
-#include "serve/latency_recorder.h"
 #include "trace/trace.h"
 
 namespace oscar {
+
+/// Percentile digest of one latency histogram.
+struct LatencyReport {
+  uint64_t count = 0;
+  double mean_ms = 0.0;
+  double p50_ms = 0.0;
+  double p90_ms = 0.0;
+  double p99_ms = 0.0;
+  double p999_ms = 0.0;
+  double max_ms = 0.0;
+};
 
 struct ServeOptions {
   size_t lookups = 1000000;  // Routed once, replayed per sweep cell.
@@ -124,7 +136,7 @@ class LoadGenerator {
     bool success = false;
   };
 
-  Status RoutePhase(ServeReport* report);
+  void RoutePhase(ServeReport* report);
   ServeCellReport ServeCell(double offered_per_s,
                             const AdmissionPolicy& policy,
                             const std::vector<double>& arrivals_ms) const;

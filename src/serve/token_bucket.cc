@@ -18,20 +18,6 @@ void TokenBucket::RefillTo(double now_ms) {
   last_ms_ = now_ms;
 }
 
-double TokenBucket::AvailableAt(double now_ms) const {
-  if (unlimited()) return burst_;
-  if (now_ms <= last_ms_) return tokens_;
-  return std::min(burst_, tokens_ + (now_ms - last_ms_) * rate_per_ms_);
-}
-
-bool TokenBucket::TryAcquire(double now_ms) {
-  if (unlimited()) return true;
-  RefillTo(now_ms);
-  if (tokens_ < 1.0) return false;
-  tokens_ -= 1.0;
-  return true;
-}
-
 double TokenBucket::AcquireAt(double now_ms) {
   if (unlimited()) return now_ms;
   RefillTo(now_ms);

@@ -24,12 +24,6 @@ class TokenBucket {
   /// at least one token so a valid bucket can always make progress.
   TokenBucket(double rate_per_s, double burst);
 
-  /// Tokens banked at virtual time `now_ms` (capped at burst).
-  double AvailableAt(double now_ms) const;
-
-  /// Spends one token if a whole one is banked at `now_ms`.
-  bool TryAcquire(double now_ms);
-
   /// Spends one token at the earliest instant >= now_ms one exists,
   /// and returns that instant. This is the shaping primitive: a demand
   /// event at `now_ms` is released at AcquireAt(now_ms).

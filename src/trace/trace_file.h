@@ -1,8 +1,7 @@
-// The trace file behind the CLIs' --trace-file/--trace-format flags:
-// one place picks the encoding, owns the file stream and the sink, and
-// closes both. A `.otrace` extension selects the binary columnar writer
-// (columnar_trace.h), anything else the CSV adapter, unless an explicit
-// format ("csv" or "otrace") overrides the extension.
+// The trace file behind the CLIs' --trace-file flag: one place checks
+// the path, owns the file stream and the columnar writer
+// (columnar_trace.h), and closes both. Traces are always `.otrace`;
+// `oscar_trace F.otrace --csv` decodes one to CSV rows.
 
 #ifndef OSCAR_TRACE_TRACE_FILE_H_
 #define OSCAR_TRACE_TRACE_FILE_H_
@@ -20,30 +19,25 @@ namespace oscar {
 class TraceFile {
  public:
   TraceFile() = default;
-  // Pinned in place: the sink holds the address of file_.
+  // Pinned in place: the writer holds the address of file_.
   TraceFile(const TraceFile&) = delete;
   TraceFile& operator=(const TraceFile&) = delete;
 
-  /// True for the explicit formats Open accepts: "csv" and "otrace".
-  static bool IsFormat(const std::string& format);
-
-  /// Opens `path` in `format`, or by extension when `format` is empty.
-  /// An empty `path` opens nothing, and is an error with a `format`.
-  /// Call once.
-  Status Open(const std::string& path, const std::string& format);
+  /// Opens `path`, which must end in `.otrace`. An empty `path` opens
+  /// nothing. Call once.
+  Status Open(const std::string& path);
 
   /// The open sink, or null when nothing was opened.
-  TraceSink* sink() const { return sink_.get(); }
+  TraceSink* sink() const { return writer_.get(); }
 
-  /// Frames the columnar end record or flushes the CSV rows, then
-  /// reports any write error. Ok when nothing was opened.
+  /// Frames the end record, then reports any write error. Ok when
+  /// nothing was opened.
   Status Close();
 
  private:
   std::string path_;
-  std::ofstream file_;  // Declared before sink_, which writes into it.
-  std::unique_ptr<TraceSink> sink_;
-  ColumnarTraceWriter* columnar_ = nullptr;  // sink_, when binary.
+  std::ofstream file_;  // Declared before writer_, which writes into it.
+  std::unique_ptr<ColumnarTraceWriter> writer_;
 };
 
 }  // namespace oscar

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -11,6 +13,7 @@
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
+#include "core/rng.h"
 
 namespace oscar {
 namespace {
@@ -138,6 +141,174 @@ TEST(StringUtilTest, SplitCommaListDropsEmptyItems) {
   EXPECT_TRUE(SplitCommaList(",,").empty());
 }
 
+// ---------------------------------------------------- flag reader fuzz
+
+/// The reference for ParseUint: a non-empty all-digit string whose value
+/// fits uint64_t, compared as text after dropping leading zeros.
+bool IsUint64DigitString(const std::string& text) {
+  if (text.empty()) return false;
+  for (char c : text) {
+    if (c < '0' || c > '9') return false;
+  }
+  const size_t first = text.find_first_not_of('0');
+  if (first == std::string::npos) return true;  // All zeros.
+  const std::string digits = text.substr(first);
+  const std::string max = std::to_string(UINT64_MAX);
+  return digits.size() < max.size() ||
+         (digits.size() == max.size() && digits <= max);
+}
+
+/// A random string over `alphabet` plus the odd arbitrary byte (NUL
+/// included), 0..max_len long.
+std::string RandomText(Rng* rng, const std::string& alphabet,
+                       size_t max_len) {
+  std::string out(rng->UniformInt(max_len + 1), '\0');
+  for (char& c : out) {
+    c = rng->UniformInt(16) == 0
+            ? static_cast<char>(rng->UniformInt(256))
+            : alphabet[rng->UniformInt(alphabet.size())];
+  }
+  return out;
+}
+
+TEST(StringUtilTest, ParseUintFuzzAcceptsExactlyFittingDigitStrings) {
+  const std::string max = std::to_string(UINT64_MAX);
+  const std::vector<std::string> near_max = {
+      max, "18446744073709551616", "0" + max, "99999999999999999999",
+      "18446744073709551605", "10000000000000000000"};
+  size_t accepted = 0;
+  for (uint64_t seed = 42; seed <= 45; ++seed) {
+    Rng rng(seed);
+    for (int iteration = 0; iteration < 1000; ++iteration) {
+      std::string text;
+      switch (rng.UniformInt(3)) {
+        case 0:
+          text = RandomText(&rng, "0123456789", 22);
+          break;
+        case 1:
+          text = RandomText(&rng, "0123456789+- xe.", 8);
+          break;
+        default:  // A value near UINT64_MAX with one digit changed.
+          text = near_max[rng.UniformInt(near_max.size())];
+          text[rng.UniformInt(text.size())] =
+              static_cast<char>('0' + rng.UniformInt(10));
+          break;
+      }
+      uint64_t value = 7;
+      const bool ok = ParseUint(text, &value);
+      ASSERT_EQ(ok, IsUint64DigitString(text)) << "'" << text << "'";
+      if (!ok) {
+        ASSERT_EQ(value, 7u) << "'" << text << "'";  // Untouched.
+        continue;
+      }
+      ++accepted;
+      const size_t first = text.find_first_not_of('0');
+      ASSERT_EQ(std::to_string(value),
+                first == std::string::npos ? "0" : text.substr(first));
+      // And the other way round, for a value of random bit length.
+      const uint64_t x = rng.Next() >> rng.UniformInt(64);
+      ASSERT_TRUE(ParseUint(std::to_string(x), &value));
+      ASSERT_EQ(value, x);
+    }
+  }
+  EXPECT_GT(accepted, 100u);
+}
+
+TEST(StringUtilTest, ParseDoubleFuzzAcceptsOnlyFiniteValues) {
+  size_t accepted = 0;
+  for (uint64_t seed = 42; seed <= 45; ++seed) {
+    Rng rng(seed);
+    for (int iteration = 0; iteration < 1000; ++iteration) {
+      std::string text;
+      if (rng.UniformInt(4) == 0) {
+        text = RandomText(&rng, "0123456789", 400);  // Overflow lengths.
+      } else {
+        // Words strtod knows, glued together: "-inf", "0x1p3", "1e309".
+        static const char* const kWords[] = {
+            "nan", "inf", "infinity", "-", "+", "0x", "1", "9", ".",
+            "e", "p", " ", "1e309", "1e-320", "0"};
+        const uint64_t words = 1 + rng.UniformInt(4);
+        for (uint64_t w = 0; w < words; ++w) {
+          text += kWords[rng.UniformInt(std::size(kWords))];
+        }
+        if (rng.UniformInt(8) == 0) {
+          text += static_cast<char>(rng.UniformInt(256));  // NUL too.
+        }
+      }
+      double value = 7.0;
+      if (!ParseDouble(text, &value)) {
+        ASSERT_EQ(value, 7.0) << "'" << text << "'";  // Untouched.
+        continue;
+      }
+      ++accepted;
+      ASSERT_TRUE(std::isfinite(value)) << "'" << text << "'";
+      ASSERT_EQ(text.find('\0'), std::string::npos) << "'" << text << "'";
+    }
+  }
+  EXPECT_GT(accepted, 100u);
+}
+
+TEST(StringUtilTest, TakeFlagFuzzStaysInBoundsAndAdvancesAtMostOne) {
+  const std::vector<std::string> words = {
+      "--f", "--f=", "--f=v", "--f==", "--fx", "--fx=v", "-f", "f", "",
+      "v", "--f=--f", "--g", "--g=v"};
+  size_t taken = 0;
+  for (uint64_t seed = 42; seed <= 45; ++seed) {
+    Rng rng(seed);
+    for (int iteration = 0; iteration < 1000; ++iteration) {
+      std::vector<std::string> drawn(1 + rng.UniformInt(5));
+      for (std::string& word : drawn) {
+        word = words[rng.UniformInt(words.size())];
+      }
+      // Built from a range, the vector's capacity is its size, so a
+      // read past end() leaves the allocation (ASan reports it).
+      const std::vector<std::string> args(drawn.begin(), drawn.end());
+      const size_t start = rng.UniformInt(args.size());
+      size_t i = start;
+      std::string value = "untouched";
+      if (!TakeFlag(args, &i, "--f", &value)) {
+        ASSERT_EQ(i, start);
+        ASSERT_EQ(value, "untouched");
+        continue;
+      }
+      ++taken;
+      ASSERT_TRUE(i == start || i == start + 1);
+      ASSERT_LT(i, args.size());
+      const std::string& arg = args[start];
+      if (arg == "--f") {
+        ASSERT_EQ(value, i > start ? args[i] : std::string());
+        ASSERT_EQ(i > start, start + 1 < args.size());
+      } else {
+        ASSERT_EQ(arg.rfind("--f=", 0), 0u);
+        ASSERT_EQ(i, start);
+        ASSERT_EQ(value, arg.substr(4));
+      }
+    }
+  }
+  EXPECT_GT(taken, 100u);
+}
+
+TEST(StringUtilTest, SplitCommaListFuzzNeverReturnsAnEmptyItem) {
+  for (uint64_t seed = 42; seed <= 45; ++seed) {
+    Rng rng(seed);
+    for (int iteration = 0; iteration < 1000; ++iteration) {
+      const std::string list = RandomText(&rng, "ab, ", 16);
+      std::string joined;
+      for (const std::string& item : SplitCommaList(list)) {
+        ASSERT_FALSE(item.empty()) << "'" << list << "'";
+        ASSERT_EQ(item.find(','), std::string::npos) << "'" << list << "'";
+        joined += item;
+      }
+      // Nothing but the commas went missing.
+      std::string without_commas = list;
+      without_commas.erase(
+          std::remove(without_commas.begin(), without_commas.end(), ','),
+          without_commas.end());
+      ASSERT_EQ(joined, without_commas) << "'" << list << "'";
+    }
+  }
+}
+
 TEST(StatsTest, RunningStats) {
   RunningStats stats;
   for (double x : {2.0, 4.0, 6.0}) stats.Push(x);
@@ -201,28 +372,6 @@ TEST(LogHistogramTest, OutOfRangeValuesClampButCount) {
   EXPECT_DOUBLE_EQ(hist.Percentile(100), LogHistogram::kMaxValue * 8);
 }
 
-TEST(LogHistogramTest, MergeIsOrderIndependentAndLossless) {
-  LogHistogram a, b, whole;
-  for (int i = 1; i <= 500; ++i) {
-    a.Record(static_cast<double>(i));
-    whole.Record(static_cast<double>(i));
-  }
-  for (int i = 501; i <= 1000; ++i) {
-    b.Record(static_cast<double>(i));
-    whole.Record(static_cast<double>(i));
-  }
-  LogHistogram ab = a, ba = b;
-  ab.Merge(b);
-  ba.Merge(a);
-  for (LogHistogram* merged : {&ab, &ba}) {
-    EXPECT_EQ(merged->Count(), whole.Count());
-    EXPECT_DOUBLE_EQ(merged->Mean(), whole.Mean());
-    EXPECT_DOUBLE_EQ(merged->Percentile(50), whole.Percentile(50));
-    EXPECT_DOUBLE_EQ(merged->Percentile(99), whole.Percentile(99));
-    EXPECT_DOUBLE_EQ(merged->Max(), whole.Max());
-  }
-}
-
 TEST(ThreadPoolTest, ThreadCountFromEnvIsStrictAndClamped) {
   // The suite itself may run under OSCAR_THREADS; restore it after.
   const char* ambient = std::getenv("OSCAR_THREADS");
@@ -246,42 +395,18 @@ TEST(ThreadPoolTest, ParallelForWorkersCoversEveryIndexOnce) {
   const size_t count = 10000;
   std::vector<std::atomic<uint32_t>> hits(count);
   std::vector<std::atomic<uint64_t>> per_worker_sum(4);
-  PoolGauge gauge;
-  ParallelForWorkers(
-      4, count,
-      [&](uint32_t worker, size_t i) {
-        ASSERT_LT(worker, 4u);
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-        per_worker_sum[worker].fetch_add(i, std::memory_order_relaxed);
-      },
-      &gauge);
+  ParallelForWorkers(4, count, [&](uint32_t worker, size_t i) {
+    ASSERT_LT(worker, 4u);
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+    per_worker_sum[worker].fetch_add(i, std::memory_order_relaxed);
+  });
   for (size_t i = 0; i < count; ++i) {
     EXPECT_EQ(hits[i].load(), 1u) << "index " << i;
   }
-  // Worker-sharded accumulators merge to the full reduction: the
-  // pattern serve/latency_recorder keys on.
+  // Worker-sharded accumulators sum to the full reduction.
   uint64_t total = 0;
   for (auto& sum : per_worker_sum) total += sum.load();
   EXPECT_EQ(total, static_cast<uint64_t>(count) * (count - 1) / 2);
-}
-
-TEST(ThreadPoolTest, PoolGaugeDrainsToZero) {
-  PoolGauge gauge;
-  ParallelForWorkers(3, 257, [](uint32_t, size_t) {}, &gauge);
-  EXPECT_EQ(gauge.total(), 257u);
-  EXPECT_EQ(gauge.Dispatched(), 257u);
-  EXPECT_EQ(gauge.Completed(), 257u);
-  EXPECT_EQ(gauge.InFlight(), 0u);
-  EXPECT_EQ(gauge.QueueDepth(), 0u);
-}
-
-TEST(ThreadPoolTest, PoolGaugeResetBetweenBatches) {
-  PoolGauge gauge;
-  ParallelForWorkers(2, 100, [](uint32_t, size_t) {}, &gauge);
-  ParallelForWorkers(2, 40, [](uint32_t, size_t) {}, &gauge);
-  EXPECT_EQ(gauge.total(), 40u);
-  EXPECT_EQ(gauge.Completed(), 40u);
-  EXPECT_EQ(gauge.QueueDepth(), 0u);
 }
 
 TEST(TablePrinterTest, AlignsColumnsAndPrintsTitle) {

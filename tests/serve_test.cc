@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "serve/admission.h"
-#include "serve/latency_recorder.h"
 #include "serve/load_generator.h"
 #include "serve/token_bucket.h"
 #include "sim/scenario.h"
@@ -22,7 +21,6 @@ TEST(TokenBucketTest, UnlimitedBucketNeverDelays) {
   EXPECT_TRUE(bucket.unlimited());
   EXPECT_DOUBLE_EQ(bucket.AcquireAt(0.0), 0.0);
   EXPECT_DOUBLE_EQ(bucket.AcquireAt(17.5), 17.5);
-  EXPECT_TRUE(bucket.TryAcquire(0.0));
 }
 
 TEST(TokenBucketTest, DrainedBucketPushesArrivalsToRefill) {
@@ -43,11 +41,13 @@ TEST(TokenBucketTest, BurstPassesThroughIntact) {
   EXPECT_GT(bucket.AcquireAt(0.0), 0.0);
 }
 
-TEST(TokenBucketTest, TryAcquireRespectsRefill) {
+TEST(TokenBucketTest, AcquireAtRespectsRefill) {
   TokenBucket bucket(1000.0, 1.0);
-  EXPECT_TRUE(bucket.TryAcquire(0.0));
-  EXPECT_FALSE(bucket.TryAcquire(0.5));  // Only half a token banked.
-  EXPECT_TRUE(bucket.TryAcquire(1.5));
+  EXPECT_DOUBLE_EQ(bucket.AcquireAt(0.0), 0.0);
+  // Only half a token banked at 0.5: released once it refills to one.
+  EXPECT_DOUBLE_EQ(bucket.AcquireAt(0.5), 1.0);
+  // A whole token banked by 2.5 (the bucket caps at burst 1): no wait.
+  EXPECT_DOUBLE_EQ(bucket.AcquireAt(2.5), 2.5);
 }
 
 TEST(TokenBucketTest, ArrivalsSortedAndRateBounded) {
@@ -126,29 +126,6 @@ TEST(AdmissionTest, PeerCapBoundsPerOwnerInFlight) {
   auto policy = MakeAdmissionPolicy("peer-cap", options).value();
   EXPECT_TRUE(policy->Admit(1u << 20, 3));
   EXPECT_FALSE(policy->Admit(0, 4));
-}
-
-// ---- LatencyRecorder -----------------------------------------------------
-
-TEST(LatencyRecorderTest, MergeMatchesSingleShard) {
-  LatencyRecorder sharded(4);
-  LatencyRecorder single(1);
-  for (int i = 1; i <= 1000; ++i) {
-    const double v = static_cast<double>(i);
-    sharded.shard(i % 4).Record(v);
-    single.shard(0).Record(v);
-  }
-  const LatencyReport a = sharded.Report();
-  const LatencyReport b = single.Report();
-  EXPECT_EQ(a.count, 1000u);
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_DOUBLE_EQ(a.p50_ms, b.p50_ms);
-  EXPECT_DOUBLE_EQ(a.p99_ms, b.p99_ms);
-  EXPECT_DOUBLE_EQ(a.max_ms, b.max_ms);
-  // Log buckets are ~2.2% wide; the digest must land inside that.
-  EXPECT_NEAR(a.p50_ms, 500.0, 500.0 * 0.03);
-  EXPECT_NEAR(a.p99_ms, 990.0, 990.0 * 0.03);
-  EXPECT_DOUBLE_EQ(a.max_ms, 1000.0);
 }
 
 // ---- LoadGenerator -------------------------------------------------------

@@ -2,8 +2,9 @@
 // FormatDouble bytes, `.otrace` files must round-trip through the
 // reader exactly and reject corruption, the CSV replay of a decoded
 // binary trace must match the direct CSV sink byte-for-byte (including
-// through a full scenario run), traces must be seed-deterministic, and
-// the decoder must survive thousands of mutated files.
+// through a full scenario run and a full serve sweep), traces must be
+// seed-deterministic, and the decoder must survive thousands of mutated
+// files.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 
 #include "common/string_util.h"
 #include "core/rng.h"
+#include "serve/load_generator.h"
 #include "sim/scenario.h"
 #include "trace/columnar_trace.h"
 #include "trace/trace.h"
@@ -415,6 +417,46 @@ TEST(TraceDeterminismTest, ScenarioCsvReplayMatchesDirectSink) {
   RunTracedScenario(42, &direct);
   ASSERT_GT(direct_csv.str().size(), std::string(CsvTraceSink::Header()).size());
   EXPECT_EQ(ReplayAsCsv(otrace), direct_csv.str());
+}
+
+/// One serve sweep (firehose plus a rate-limited row, Zipf-hot keys)
+/// with the given sink attached, so every serve gauge kind is emitted.
+void RunTracedServe(const TopologySnapshot& snapshot, TraceSink* sink) {
+  ServeOptions options;
+  options.lookups = 2000;
+  options.seed = 42;
+  options.offered_rates_per_s = {0.0, 4000.0};
+  options.hot_keys = 8;
+  options.trace = sink;
+  options.trace_cadence_ms = 5.0;
+  auto run = LoadGenerator(snapshot, options).Run();
+  ASSERT_TRUE(run.ok()) << run.status();
+}
+
+TEST(TraceDeterminismTest, ServeCsvReplayMatchesDirectSink) {
+  ScenarioOptions base;
+  base.network_size = 200;
+  base.seed = 42;
+  auto grown = GrowScenarioTopology(base);
+  ASSERT_TRUE(grown.ok()) << grown.status();
+  const TopologySnapshot& snapshot = grown.value().snapshot;
+
+  std::ostringstream binary(std::ios::binary);
+  ColumnarTraceWriter writer(&binary);
+  RunTracedServe(snapshot, &writer);
+  ASSERT_TRUE(writer.Close().ok());
+  std::ostringstream direct_csv;
+  CsvTraceSink direct(&direct_csv);
+  RunTracedServe(snapshot, &direct);
+
+  const std::string csv = direct_csv.str();
+  for (const char* kind : {",serve_queue,", ",serve_busy,",
+                           ",serve_dropped,"}) {
+    EXPECT_NE(csv.find(kind), std::string::npos) << kind;
+  }
+  EXPECT_NE(csv.find(",serve rate=4000 policy=peer-cap,"),
+            std::string::npos);
+  EXPECT_EQ(ReplayAsCsv(binary.str()), csv);
 }
 
 }  // namespace

@@ -11,10 +11,9 @@
 //   oscar_serve --hot-keys=16            Zipf-hot query keys
 //   oscar_serve --trace-file=F           per-cell admission/queue-depth
 //                                        timelines from the virtual-time
-//                                        sweep; `.otrace` = binary
-//                                        columnar, else CSV
-//                                        (--trace-format=csv|otrace
-//                                        overrides, --queue-cadence-ms=N
+//                                        sweep into F, which must end in
+//                                        `.otrace` (`oscar_trace F --csv`
+//                                        decodes it; --queue-cadence-ms=N
 //                                        sets the sample cadence)
 //   oscar_serve --list-policies          print the admission catalog
 //
@@ -53,12 +52,13 @@ void PrintUsage(std::ostream& out) {
          "                   [--burst=B] [--hop-ms=MS] [--hot-keys=K]\n"
          "                   [--zipf=S] [--queue-cap=Q] [--timeout-ms=MS]\n"
          "                   [--peer-cap=K]\n"
-         "                   [--trace-file=F] [--trace-format=csv|otrace]\n"
-         "                   [--queue-cadence-ms=MS] [--list-policies]\n"
+         "                   [--trace-file=F.otrace] [--queue-cadence-ms=MS]\n"
+         "                   [--list-policies]\n"
          "policies:";
   for (const std::string& name : AdmissionCatalog()) out << " " << name;
   out << "\nrates are offered lookups/s; 0 disables rate limiting "
-         "(burst at t=0)\nvalue flags take --flag=V or --flag V\n";
+         "(burst at t=0)\nvalue flags take --flag=V or --flag V\n"
+         "CSV trace rows: oscar_trace F.otrace --csv\n";
 }
 
 /// Flag-parse rejection: one diagnostic plus the usage text, exit 2.
@@ -152,7 +152,6 @@ int RunCli(const std::vector<std::string>& args) {
   ServeOptions serve;
   bool list_policies = false;
   std::string trace_path;
-  std::string trace_format;  // "" = decide by extension.
 
   for (size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
@@ -239,12 +238,6 @@ int RunCli(const std::vector<std::string>& args) {
         return RejectUsage("--trace-file requires a path");
       }
       trace_path = value;
-    } else if (TakeFlag(args, &i, "--trace-format", &value)) {
-      if (!TraceFile::IsFormat(value)) {
-        return RejectUsage(StrCat("--trace-format wants csv or otrace, "
-                                  "got '", value, "'"));
-      }
-      trace_format = value;
     } else if (TakeFlag(args, &i, "--queue-cadence-ms", &value)) {
       if (!ParseDouble(value, &real) || real < 0.0) {
         return RejectUsage(StrCat("--queue-cadence-ms wants a non-negative "
@@ -279,8 +272,7 @@ int RunCli(const std::vector<std::string>& args) {
   }
 
   TraceFile trace;
-  if (const Status opened = trace.Open(trace_path, trace_format);
-      !opened.ok()) {
+  if (const Status opened = trace.Open(trace_path); !opened.ok()) {
     return RejectUsage(opened.message());
   }
   serve.trace = trace.sink();

@@ -5,10 +5,10 @@
 //   oscar_sim --scenarios a,b,c   same, comma-separated (repeats
 //                                 accumulate, like bare names)
 //   oscar_sim --list              print the catalog
-//   oscar_sim --trace-file F      stream the event trace; a `.otrace`
-//                                 extension selects the binary columnar
-//                                 encoding, anything else CSV rows
-//   oscar_sim --trace-format F    override that choice (csv | otrace)
+//   oscar_sim --trace-file F      stream the event trace to F, which
+//                                 must end in `.otrace` (binary
+//                                 columnar; `oscar_trace F --csv`
+//                                 decodes it to CSV rows)
 //   oscar_sim --queue-cadence-ms N  queue-depth/in-flight timeline
 //                                 sample cadence in virtual ms while
 //                                 tracing (default 10, 0 disables)
@@ -71,10 +71,11 @@ void PrintBanner(const ExperimentScale& scale) {
 
 void PrintUsage(std::ostream& out) {
   out << "usage: oscar_sim [--list] [--cross-check] "
-         "[--scenarios a,b,c] [--trace-file out.otrace|out.csv] "
-         "[--trace-format csv|otrace] [--queue-cadence-ms N] "
+         "[--scenarios a,b,c] [--trace-file out.otrace] "
+         "[--queue-cadence-ms N] "
          "[--maintenance-cadence-ms N] [--fault-plan SPEC] "
          "[scenario ...]\nvalue flags take --flag V or --flag=V\n"
+         "CSV trace rows: oscar_trace F.otrace --csv\n"
          "scenarios:";
   for (const std::string& name : ScenarioCatalog()) {
     out << " " << name;
@@ -107,7 +108,6 @@ int RunCli(const std::vector<std::string>& args) {
   bool list = false;
   bool cross_check = false;
   std::string trace_path;
-  std::string trace_format;  // "" = decide by extension.
   double queue_cadence_ms = 10.0;
   double maintenance_cadence_ms = -1.0;  // < 0: scenario decides.
   FaultPlan extra_faults;
@@ -135,12 +135,6 @@ int RunCli(const std::vector<std::string>& args) {
         return RejectUsage("--trace-file requires a path");
       }
       trace_path = value;
-    } else if (TakeFlag(args, &i, "--trace-format", &value)) {
-      if (!TraceFile::IsFormat(value)) {
-        return RejectUsage(StrCat("--trace-format wants csv or otrace, "
-                                  "got '", value, "'"));
-      }
-      trace_format = value;
     } else if (TakeFlag(args, &i, "--queue-cadence-ms", &value)) {
       if (!ParseDouble(value, &real) || real < 0.0) {
         return RejectUsage(StrCat("--queue-cadence-ms wants a non-negative "
@@ -187,12 +181,11 @@ int RunCli(const std::vector<std::string>& args) {
     return 0;
   }
 
-  PrintBanner(scale);
-
   if (!cross_check && names.empty()) names = ScenarioCatalog();
 
-  // Validate names before paying for growth — every name, not just the
-  // first bad one's predecessors, so `valid,bogus` still exits 2.
+  // Validate names and open the trace before the banner and growth, so
+  // a rejection prints only the usage — every name, not just the first
+  // bad one's predecessors, so `valid,bogus` still exits 2.
   for (const std::string& name : names) {
     if (auto probe = MakeScenarioOptions(name, base); !probe.ok()) {
       return RejectUsage(probe.status().message());
@@ -200,10 +193,11 @@ int RunCli(const std::vector<std::string>& args) {
   }
 
   TraceFile trace;
-  if (const Status opened = trace.Open(trace_path, trace_format);
-      !opened.ok()) {
+  if (const Status opened = trace.Open(trace_path); !opened.ok()) {
     return RejectUsage(opened.message());
   }
+
+  PrintBanner(scale);
 
   // One grow per (seed, size, overlay), shared by the cross-check and
   // every scenario run (each replays a restore of the frozen snapshot).
