@@ -11,12 +11,13 @@
 #include "keyspace/gnutella_distribution.h"
 #include "overlay/kleinberg/kleinberg_overlay.h"
 #include "overlay/oscar/oscar_overlay.h"
-#include "routing/router.h"
+#include "routing/route_stepper.h"
 #include "sampling/oracle_sampler.h"
 #include "sampling/random_walk_sampler.h"
 #include "churn/churn.h"
 #include "sim/event_engine.h"
 #include "sim/message_sim.h"
+#include "sim/scenario.h"
 
 namespace oscar {
 namespace {
@@ -68,6 +69,38 @@ void BM_GreedyRoute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedyRoute)->Arg(1000)->Arg(10000);
+
+/// The benchmark's serve topology: GrowScenarioTopology at the default
+/// ScenarioOptions (Oscar, Gnutella keys, realistic degrees), N=3000,
+/// seed 43, frozen. Grown once per process, since google-benchmark
+/// calls a probe more than once.
+const TopologySnapshot& ServeSnapshot() {
+  static const TopologySnapshot snapshot = [] {
+    ScenarioOptions base;
+    base.network_size = 3000;
+    base.seed = 43;
+    return GrowScenarioTopology(base).value().snapshot;
+  }();
+  return snapshot;
+}
+
+/// One greedy lookup per iteration over the frozen CSR snapshot through
+/// a reused stepper, drawn as LoadGenerator draws them: a source among
+/// the ring entries and a raw 64-bit key. BM_GreedyRoute is the same
+/// walk over a live Network.
+void BM_GreedyRouteSnapshot(benchmark::State& state) {
+  const TopologySnapshot& snapshot = ServeSnapshot();
+  const std::vector<Ring::Entry>& entries = snapshot.ring().entries();
+  GreedyStepper stepper;
+  Rng rng(44);
+  for (auto _ : state) {
+    const PeerId source = entries[rng.UniformInt(entries.size())].id;
+    const RouteResult& r =
+        stepper.Run(snapshot, source, KeyId::FromRaw(rng.Next()));
+    benchmark::DoNotOptimize(r.hops);
+  }
+}
+BENCHMARK(BM_GreedyRouteSnapshot);
 
 void BM_BacktrackingRouteUnderChurn(benchmark::State& state) {
   Network net = MakeLinkedNetwork(10000, 7);

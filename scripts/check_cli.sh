@@ -98,6 +98,7 @@ oscar_sim)
   expect_reject "nan slow multiplier"             --fault-plan=slow@10+50:0.1,0.2,nan
   expect_reject "nan partition loss"              --fault-plan=partition@10+50:0.1,0.2,0.5,0.2,nan
   expect_reject "space-led crash time"            --fault-plan='crash@ 5:0.1,0.1'
+  expect_reject "fault heal past the time bound"  --fault-plan=partition@1e308+1e308:0.0,0.2,0.5,0.2
   expect_reject "unknown scenario"                no-such-scenario
   expect_reject "unknown scenario after valid"    baseline no-such-scenario
   expect_reject "unknown name in --scenarios"     --scenarios=baseline,no-such-scenario

@@ -29,12 +29,15 @@ class Rng {
   /// Uniform integer in [0, n); returns 0 when n == 0.
   uint64_t UniformInt(uint64_t n) {
     if (n == 0) return 0;
-    // Rejection sampling to avoid modulo bias.
-    const uint64_t limit = UINT64_MAX - UINT64_MAX % n;
-    uint64_t draw;
-    do {
-      draw = Next();
-    } while (draw >= limit);
+    // Rejection sampling to avoid modulo bias: draws at or above
+    // `limit` are refused. The limit is never below UINT64_MAX - n + 1,
+    // so only a draw above UINT64_MAX - n can be refused, and only then
+    // is the limit's division paid.
+    uint64_t draw = Next();
+    if (draw > UINT64_MAX - n) {
+      const uint64_t limit = UINT64_MAX - UINT64_MAX % n;
+      while (draw >= limit) draw = Next();
+    }
     return draw % n;
   }
 

@@ -93,23 +93,38 @@ RouteStep GreedyStepper::StepOn(const Topo& topo) {
   const NeighborRow row =
       NeighborRowOf(topo, current_, pos, /*with_in_links=*/false);
   const uint64_t here = RingDistance(topo.key(current_), target_);
-  // A dead neighbor sits at distance UINT64_MAX: never closer than
-  // `here`, never in the band. Its probe is charged lazily below.
-  const auto distance = [&](PeerId candidate) {
-    return topo.alive(candidate) ? RingDistance(topo.key(candidate), target_)
-                                 : UINT64_MAX;
-  };
-  // Pass 1: the first strictly closest neighbor, by conditional selects.
+  const size_t entries = row.ring_count + row.out.size();
+  if (distances_.size() < entries) distances_.resize(entries);
+  uint64_t* const distances = distances_.data();
+  // Pass 1, the only pass that reads a neighbor: buffer each entry's
+  // distance and keep the first strictly closest, by conditional
+  // selects. A dead entry buffers UINT64_MAX: never closer than `here`,
+  // never in the band; its probe is charged lazily below. Only a row
+  // with a dangling out-link reads liveness.
   PeerId best = current_;
   uint64_t best_distance = here;
-  bool saw_dead = false;
-  row.ForEach([&](PeerId candidate) {
-    const uint64_t d = distance(candidate);
-    saw_dead |= d == UINT64_MAX;
-    const bool closer = d < best_distance;
-    best = closer ? candidate : best;
-    best_distance = closer ? d : best_distance;
-  });
+  const auto closest_pass = [&](auto distance) {
+    size_t i = 0;
+    row.ForEach([&](PeerId candidate) {
+      const uint64_t d = distance(candidate);
+      distances[i++] = d;
+      const bool closer = d < best_distance;
+      best = closer ? candidate : best;
+      best_distance = closer ? d : best_distance;
+    });
+  };
+  const bool has_dead = topo.dangling_out(current_) != 0;
+  if (has_dead) {
+    closest_pass([&](PeerId candidate) {
+      return topo.alive(candidate)
+                 ? RingDistance(topo.key(candidate), target_)
+                 : UINT64_MAX;
+    });
+  } else {
+    closest_pass([&](PeerId candidate) {
+      return RingDistance(topo.key(candidate), target_);
+    });
+  }
   if (best_distance == here) {  // No strict progress: substrate violation.
     result_.terminal = current_;
     result_.success = false;
@@ -125,19 +140,22 @@ RouteStep GreedyStepper::StepOn(const Topo& topo) {
           ? UINT64_MAX
           : best_distance + best_distance / 2;
   uint32_t best_in = topo.caps(best).max_in;
+  size_t i = 0;
   row.ForEach([&](PeerId candidate) {
-    const uint64_t d = distance(candidate);
+    const uint64_t d = distances[i++];
+    if (d >= here || d > band) return;
     const uint32_t in = topo.caps(candidate).max_in;
-    const bool roomier = d < here && d <= band && in > best_in;
+    const bool roomier = in > best_in;
     best = roomier ? candidate : best;
     best_in = roomier ? in : best_in;
   });
   // Charge probes for dead long links that looked strictly better than
   // the hop we ended up taking (the peer would have tried them first).
-  if (saw_dead) {
+  if (has_dead) {
     best_distance = RingDistance(topo.key(best), target_);
+    i = 0;
     row.ForEach([&](PeerId candidate) {
-      if (!topo.alive(candidate) &&
+      if (distances[i++] == UINT64_MAX &&
           RingDistance(topo.key(candidate), target_) < best_distance) {
         ++result_.wasted;
         ++step.dead_probes;
@@ -296,7 +314,10 @@ const RouteResult& GreedyStepper::Run(NetworkView net, PeerId source,
                                       KeyId target) {
   Start(net, source, target);
   const size_t max_steps = 4 * net.alive_count() + 16;
-  for (size_t step = 0; step < max_steps && !done_; ++step) Step(net);
+  // One backend dispatch per route, not per hop.
+  net.Visit([&](const auto& topo) {
+    for (size_t step = 0; step < max_steps && !done_; ++step) StepOn(topo);
+  });
   if (!done_) Abandon(net);
   return result_;
 }

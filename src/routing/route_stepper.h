@@ -68,6 +68,18 @@ struct RouteStep {
 /// than the hop taken are charged as probes. Every alive peer keeps
 /// alive ring neighbors, so strict progress is always possible and the
 /// route ends at the owner.
+///
+/// A hop reads each neighbor once. The closest-neighbor pass writes
+/// every row entry's distance to the target into a buffer the stepper
+/// owns and reuses across hops and routes (UINT64_MAX for a dead
+/// entry); the capacity-band pass reads that buffer and fetches caps
+/// only for entries inside the band, and the dead-probe pass finds the
+/// dead entries by their UINT64_MAX. A row whose peer has no dangling
+/// out-link reads no liveness at all. That is exact: ring neighbors are
+/// always alive, and both backends keep each peer's dangling_out count
+/// equal to the dead targets of its out row (Network::CheckInvariants
+/// and TopologySnapshot::Validate audit it). Run dispatches on the
+/// backend once per route; Step, once per hop.
 class GreedyStepper {
  public:
   void Start(NetworkView net, PeerId source, KeyId target);
@@ -88,6 +100,9 @@ class GreedyStepper {
   KeyId target_;
   PeerId current_ = 0;
   bool done_ = true;
+  // The current row's distances to the target, in row order; only the
+  // first ring_count + out.size() entries belong to the current hop.
+  std::vector<uint64_t> distances_;
 };
 
 /// A set of peer ids for the per-route visited and probed sets: open

@@ -84,6 +84,12 @@ Result<FaultPlan> ParseFaultPlan(const std::string& spec) {
     if (!ParseDouble(when, &parsed.at_ms) || parsed.at_ms < 0.0) {
       return Malformed(fault, "bad injection time");
     }
+    // The heal time, or the injection time when there is no duration.
+    if (parsed.at_ms + parsed.duration_ms > kMaxFaultTimeMs) {
+      return Malformed(fault, StrCat("time past ",
+                                     FormatDouble(kMaxFaultTimeMs, 0),
+                                     " ms"));
+    }
 
     const std::vector<std::string> fields =
         SplitAll(fault.substr(colon + 1), ',');

@@ -17,9 +17,10 @@
 //          | slow '@' AT '+' DUR ':' CENTER ',' SPAN [',' MULT]
 //
 // Times are virtual ms, centers/spans are unit-ring fractions, LOSS
-// defaults to 1.0 (a full cut), MULT to 25. Partitions are injected
-// symmetrically (both directions of the region pair); a directed cut
-// is available programmatically via FaultSpec::symmetric = false.
+// defaults to 1.0 (a full cut), MULT to 25. AT and AT + DUR may not
+// exceed kMaxFaultTimeMs. Partitions are injected symmetrically (both
+// directions of the region pair); a directed cut is available
+// programmatically via FaultSpec::symmetric = false.
 
 #ifndef OSCAR_SIM_FAULT_PLAN_H_
 #define OSCAR_SIM_FAULT_PLAN_H_
@@ -35,6 +36,11 @@
 #include "trace/trace.h"
 
 namespace oscar {
+
+/// The latest time a parsed fault may inject or heal at, in virtual ms
+/// (about 31.7 years). The trace renders every time up to it exactly,
+/// and the engine's times stay finite.
+constexpr double kMaxFaultTimeMs = 1e12;
 
 enum class FaultKind {
   kRegionCrash,  // CrashSegment of region `a` at `at_ms` (no heal).
@@ -67,8 +73,8 @@ struct FaultPlan {
 };
 
 /// Parses the CLI spec above. Malformed specs (unknown kind, missing
-/// '@', non-numeric or out-of-range fields) return an error naming the
-/// offending fault.
+/// '@', non-numeric or out-of-range fields, a time past
+/// kMaxFaultTimeMs) return an error naming the offending fault.
 Result<FaultPlan> ParseFaultPlan(const std::string& spec);
 
 /// One fault as it actually landed: injection bookkeeping the recovery

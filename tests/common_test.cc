@@ -423,5 +423,90 @@ TEST(TablePrinterTest, AlignsColumnsAndPrintsTitle) {
   EXPECT_NE(out.find("1.25"), std::string::npos);
 }
 
+// ---- Rng ------------------------------------------------------------------
+
+/// Rng::UniformInt's rejection loop as first written: the limit's
+/// division on every call and every draw tested against it. `redraws`
+/// counts the draws it refused.
+uint64_t ModuloRejectionReference(Rng* rng, uint64_t n, size_t* redraws) {
+  if (n == 0) return 0;
+  const uint64_t limit = UINT64_MAX - UINT64_MAX % n;
+  uint64_t draw;
+  while ((draw = rng->Next()) >= limit) ++*redraws;
+  return draw % n;
+}
+
+/// Inverts x ^ (x >> shift).
+uint64_t UnXorShift(uint64_t y, unsigned shift) {
+  uint64_t x = y;
+  for (unsigned known = shift; known < 64; known += shift) {
+    x = y ^ (x >> shift);
+  }
+  return x;
+}
+
+/// The inverse of an odd multiplier modulo 2^64 (Newton's iteration).
+uint64_t InverseOdd(uint64_t c) {
+  uint64_t inverse = c;
+  for (int i = 0; i < 6; ++i) inverse *= 2 - c * inverse;
+  return inverse;
+}
+
+/// A generator whose next raw draw is `draw`: splitmix64's output mix
+/// is a bijection, so its state can be solved for.
+Rng RngWhoseNextDrawIs(uint64_t draw) {
+  uint64_t z = UnXorShift(draw, 31) * InverseOdd(0x94d049bb133111ebULL);
+  z = UnXorShift(z, 27) * InverseOdd(0xbf58476d1ce4e5b9ULL);
+  return Rng(UnXorShift(z, 30) - 0x9e3779b97f4a7c15ULL);
+}
+
+TEST(RngTest, UniformIntMatchesModuloRejectionReference) {
+  constexpr uint64_t kTwo32 = uint64_t{1} << 32;
+  constexpr uint64_t kTwo63 = uint64_t{1} << 63;
+  size_t redraws = 0;
+  for (uint64_t seed = 42; seed <= 45; ++seed) {
+    // At 2^63 + 1 the limit is n itself, so about half of all draws
+    // are refused: the loop's rare branch runs thousands of times.
+    std::vector<uint64_t> ns = {0, 1, 2, 3, 7, kTwo32 - 1, kTwo32 + 1,
+                                kTwo63 - 1, kTwo63, kTwo63 + 1, UINT64_MAX};
+    Rng picker(seed + 1000);
+    for (int i = 0; i < 8; ++i) {  // Random n at every magnitude.
+      ns.push_back(picker.Next() >> picker.UniformInt(64));
+    }
+    for (const uint64_t n : ns) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << ", n " << n);
+      Rng rng(seed);
+      Rng reference(seed);
+      for (int call = 0; call < 10000; ++call) {
+        const uint64_t got = rng.UniformInt(n);
+        ASSERT_EQ(got, ModuloRejectionReference(&reference, n, &redraws))
+            << "call " << call;
+        ASSERT_TRUE(n == 0 ? got == 0 : got < n);
+        // Both generators consumed the same draws.
+        Rng next = rng;
+        Rng reference_next = reference;
+        ASSERT_EQ(next.Next(), reference_next.Next()) << "call " << call;
+      }
+    }
+  }
+  EXPECT_GT(redraws, 10000u);
+  // Random draws never land on the rejection limit; pin the first draw
+  // on each side of it and of UINT64_MAX - n, the fast path's cut.
+  for (uint64_t n : {uint64_t{1}, uint64_t{3}, kTwo32, kTwo63 - 1, kTwo63,
+                     kTwo63 + 1, UINT64_MAX}) {
+    const uint64_t limit = UINT64_MAX - UINT64_MAX % n;
+    for (uint64_t first : {UINT64_MAX - n, UINT64_MAX - n + 1, limit - 1,
+                           limit, UINT64_MAX}) {
+      SCOPED_TRACE(testing::Message() << "n " << n << ", first " << first);
+      Rng rng = RngWhoseNextDrawIs(first);
+      ASSERT_EQ(Rng(rng).Next(), first);
+      Rng reference = rng;
+      ASSERT_EQ(rng.UniformInt(n),
+                ModuloRejectionReference(&reference, n, &redraws));
+      ASSERT_EQ(rng.Next(), reference.Next());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace oscar

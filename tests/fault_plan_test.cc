@@ -94,6 +94,31 @@ TEST(FaultPlanParseTest, RejectsNonFiniteAndSpaceLedNumbers) {
   }
 }
 
+TEST(FaultPlanParseTest, RejectsTimesPastTheTraceRange) {
+  // The bound itself: as an injection time, as a heal time.
+  const char* good[] = {
+      "crash@1e12:0.25,0.1",
+      "partition@0+1e12:0.0,0.3,0.5,0.3",
+      "slow@5e11+5e11:0.6,0.2",
+  };
+  for (const char* spec : good) {
+    EXPECT_TRUE(ParseFaultPlan(spec).ok()) << spec;
+  }
+  const char* bad[] = {
+      "crash@1000000000000.001:0.25,0.1",     // Just past the bound.
+      "slow@1000000000000.001+1:0.6,0.2",
+      "partition@1e12+1:0.0,0.3,0.5,0.3",     // Healed past it.
+      "slow@6e11+5e11:0.6,0.2",
+      "partition@1e308+1e308:0.0,0.2,0.5,0.2",  // Heal at inf.
+  };
+  for (const char* spec : bad) {
+    EXPECT_FALSE(ParseFaultPlan(spec).ok()) << spec;
+  }
+  // The trace stamps a time at the bound exactly.
+  EXPECT_EQ(TraceTimeUs(kMaxFaultTimeMs), uint64_t{1000000000000000});
+  EXPECT_EQ(TraceTimeMs(TraceTimeUs(kMaxFaultTimeMs)), "1000000000000.000");
+}
+
 // ---------------------------------------------------------- parser fuzz
 
 /// Splits on `sep`, keeping empty pieces.
@@ -137,7 +162,8 @@ const std::vector<std::string>& ValidSpecs() {
 std::string MutateSpec(const std::string& spec, Rng* rng) {
   static const char* const kEdgeNumbers[] = {
       "nan", "inf", "-inf", "1e309", "-1e309", "-0", "0x10", "1e-320",
-      "0", "1", "0.99999999999999999", "1e308", "", "+5", "5."};
+      "0", "1", "0.99999999999999999", "1e308", "", "+5", "5.",
+      "1e12", "1000000000000.001"};
   static const char kGrammar[] = "@+:;,.-e0123456789";
   const std::vector<std::string>& donors = ValidSpecs();
   std::string out = spec;
@@ -226,6 +252,7 @@ void ExpectDocumentedRanges(const std::string& spec, const FaultPlan& plan) {
     const std::vector<std::string> fields =
         Pieces(texts[i].substr(colon + 1), ',');
     EXPECT_TRUE(std::isfinite(fault.at_ms) && fault.at_ms >= 0.0);
+    EXPECT_LE(fault.at_ms + fault.duration_ms, kMaxFaultTimeMs);
     // A given duration is > 0; none (0) means open-ended.
     if (has_duration) {
       EXPECT_TRUE(std::isfinite(fault.duration_ms) &&

@@ -500,6 +500,10 @@ struct OracleCoverage {
   size_t failed_deliveries = 0;
   size_t mid_route_crashes = 0;
   size_t band_moves = 0;  // Greedy hops that did not take the closest.
+  // Greedy steps that scanned a row whose peer has no dangling out-link
+  // (the pass that reads no liveness), and ones with a dangling link.
+  size_t clean_row_steps = 0;
+  size_t dangling_row_steps = 0;
 };
 
 /// Steps the oracle and the kernel side by side from `source` toward
@@ -530,6 +534,13 @@ void ExpectLockstep(NetworkView net, Network* crash_in, PeerId source,
     ASSERT_EQ(oracle.done(), kernel.done());
     ++coverage->steps;
     if (got.dead_probes > 0) ++coverage->dead_probe_steps;
+    if (std::is_same_v<Kernel, GreedyStepper> &&
+        got.kind != StepKind::kArrived) {
+      const uint32_t dangling = net.Visit(
+          [&](const auto& topo) { return topo.dangling_out(got.from); });
+      ++(dangling == 0 ? coverage->clean_row_steps
+                       : coverage->dangling_row_steps);
+    }
     if (got.kind == StepKind::kForward) {
       const std::vector<PeerId> row = OracleRow(net, got.from);
       const bool closest = std::none_of(row.begin(), row.end(), [&](PeerId p) {
@@ -661,6 +672,8 @@ void CheckKernelAgainstOracle() {
   EXPECT_GT(coverage.mid_route_crashes, 200u);
   if (std::is_same_v<Kernel, GreedyStepper>) {
     EXPECT_GT(coverage.band_moves, 200u);
+    EXPECT_GT(coverage.clean_row_steps, 1000u);
+    EXPECT_GT(coverage.dangling_row_steps, 1000u);
   } else {
     EXPECT_GT(coverage.failed_deliveries, 1000u);
   }
