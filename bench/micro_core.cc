@@ -102,6 +102,24 @@ void BM_GreedyRouteSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyRouteSnapshot);
 
+/// One checkpoint-rewire plan per iteration over the same frozen serve
+/// topology: OscarOverlay::PlanLinks for a peer drawn from the ring
+/// entries, with the default random-walk sampler. That is the grow
+/// workload's rewire path: partitions, sampling walks and their
+/// fallback routes.
+void BM_OscarPlanLinksSnapshot(benchmark::State& state) {
+  const TopologySnapshot& snapshot = ServeSnapshot();
+  const std::vector<Ring::Entry>& entries = snapshot.ring().entries();
+  const OscarOverlay overlay;
+  Rng rng(45);
+  for (auto _ : state) {
+    const PeerId id = entries[rng.UniformInt(entries.size())].id;
+    const PeerLinkPlan plan = overlay.PlanLinks(snapshot, id, &rng);
+    benchmark::DoNotOptimize(plan.sampling_steps);
+  }
+}
+BENCHMARK(BM_OscarPlanLinksSnapshot);
+
 void BM_BacktrackingRouteUnderChurn(benchmark::State& state) {
   Network net = MakeLinkedNetwork(10000, 7);
   Rng churn_rng(8);

@@ -124,9 +124,11 @@ struct NeighborRow {
   PeerSpan in;
 
   /// Alive entries of a walk row, repeats included.
-  size_t CountAlive() const {
-    return ring_count + out.size() - dangling + in.size();
-  }
+  size_t CountAlive() const { return ring_count + AliveLinks(); }
+
+  /// Alive long-link entries of a walk row (out and in), repeats
+  /// included: CountAlive without the ring part.
+  size_t AliveLinks() const { return out.size() - dangling + in.size(); }
 
   /// The k-th (0-based) alive entry of a walk row in ForEach order;
   /// precondition k < CountAlive().
@@ -134,9 +136,17 @@ struct NeighborRow {
   PeerId KthAlive(const Topo& topo, size_t k) const {
     if (k < ring_count) return ring[k];
     k -= ring_count;
+    if (dangling == 0) {
+      // Every entry is alive, so k indexes out ++ in directly. A random
+      // k makes "out or in?" a coin flip the branch predictor loses, so
+      // the span and the index are picked by data, not by a branch
+      // (gcc turns a ternary between the two spans back into a jump).
+      const size_t in_part = k >= out.size();
+      const PeerId* const bases[2] = {out.ptr, in.ptr};
+      return bases[in_part][k - in_part * out.size()];
+    }
     const size_t alive_out = out.size() - dangling;
     if (k >= alive_out) return in[k - alive_out];
-    if (dangling == 0) return out[k];
     for (PeerId target : out) {
       if (!topo.alive(target)) continue;
       if (k == 0) return target;

@@ -93,8 +93,14 @@ class GreedyStepper {
   PeerId current() const { return current_; }
 
  private:
+  // The hop kernel starts on a 64-byte boundary, so its hot loops keep
+  // their placement when unrelated code moves: with this kernel's code
+  // unchanged, a 16-byte shift cost serve 11% of its throughput. gcc
+  // honors the attribute here, on the declaration, and ignores it on
+  // the out-of-class template definition;
+  // scripts/check_kernel_alignment.sh checks the built oscar_serve.
   template <typename Topo>
-  RouteStep StepOn(const Topo& topo);
+  __attribute__((aligned(64))) RouteStep StepOn(const Topo& topo);
 
   RouteResult result_;
   KeyId target_;
@@ -180,8 +186,11 @@ class BacktrackingStepper {
   }
 
  private:
+  // Pinned to a 64-byte boundary like GreedyStepper's kernel: the
+  // message engine's routes run here, and a 16-byte shift of this
+  // unchanged code cost sim-steady about 4%.
   template <typename Topo>
-  RouteStep StepOn(const Topo& topo);
+  __attribute__((aligned(64))) RouteStep StepOn(const Topo& topo);
 
   RouteResult result_;
   KeyId target_;

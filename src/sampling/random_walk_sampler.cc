@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "routing/router.h"
+#include "routing/route_stepper.h"
 
 namespace oscar {
 namespace {
@@ -50,6 +50,12 @@ struct WalkOutcome {
 /// Both reads are O(1) per row (NeighborRow::CountAlive/KthAlive): the
 /// backend's dangling_out count stands in for a liveness probe of every
 /// neighbor, and only a row with a dead out-link scans its out part.
+///
+/// A proposal is an alive neighbor, so it is on the ring, and its ring
+/// part holds min(n - 1, 2) peers: its successor, and its predecessor
+/// unless that is the same peer, which distinct ring ids rule out for
+/// n >= 3. Its degree is therefore that count plus its alive long
+/// links, known before its ring entries are read.
 template <typename Topo>
 WalkOutcome Walk(const Topo& topo, PeerId origin, KeyId from, KeyId to,
                  std::vector<PeerId>* visit_trace, Rng* rng) {
@@ -57,6 +63,9 @@ WalkOutcome Walk(const Topo& topo, PeerId origin, KeyId from, KeyId to,
   PeerId current = origin;
   if (visit_trace != nullptr) visit_trace->push_back(current);
   const uint32_t total_steps = kBurnIn + kMaxWalkSteps;
+  // Walks run only on segments of more than kSuccessorListCutoff peers,
+  // so the ring is not empty.
+  const size_t ring_neighbors = std::min<size_t>(topo.ring().size() - 1, 2);
   NeighborRow row = NeighborRowOf(topo, current, topo.ring().PosOf(current),
                                   /*with_in_links=*/true);
   size_t degree = row.CountAlive();
@@ -72,7 +81,7 @@ WalkOutcome Walk(const Topo& topo, PeerId origin, KeyId from, KeyId to,
     const NeighborRow proposal_row =
         NeighborRowOf(topo, proposal, topo.ring().PosOf(proposal),
                       /*with_in_links=*/true);
-    const size_t proposal_degree = proposal_row.CountAlive();
+    const size_t proposal_degree = ring_neighbors + proposal_row.AliveLinks();
     ++out.steps;
     if (proposal_degree == 0) continue;
     const double accept =
@@ -120,7 +129,11 @@ Result<SegmentSample> RandomWalkSegmentSampler::SampleInSegment(
                       18446744073709551616.0;
   const KeyId probe =
       KeyId::FromRaw(from.raw + KeyId::FromUnit(rng->NextDouble() * span).raw);
-  const RouteResult route = Route(Routing::kGreedy, net, walk.current, probe);
+  // One stepper per thread: planning workers share this const sampler,
+  // and a reused stepper keeps its buffers, so a fallback allocates
+  // nothing once the thread has routed a route as long.
+  thread_local GreedyStepper stepper;
+  const RouteResult& route = stepper.Run(net, walk.current, probe);
   steps += route.hops + route.wasted;
   PeerId landed = route.terminal;
   if (!InClockwiseSegment(net.key(landed), from, to)) {
