@@ -102,6 +102,25 @@ void BM_GreedyRouteSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyRouteSnapshot);
 
+/// One whole backtracking lookup per iteration over the same serve
+/// topology restored into a live Network, through a reused stepper:
+/// the hop kernel sim-steady's message engine routes with, without the
+/// engine around it. Sources and keys are drawn as in
+/// BM_GreedyRouteSnapshot.
+void BM_BacktrackingRouteLive(benchmark::State& state) {
+  const Network net = ServeSnapshot().Restore();
+  const std::vector<Ring::Entry>& entries = net.ring().entries();
+  BacktrackingStepper stepper;
+  Rng rng(46);
+  for (auto _ : state) {
+    const PeerId source = entries[rng.UniformInt(entries.size())].id;
+    const RouteResult& r =
+        stepper.Run(net, source, KeyId::FromRaw(rng.Next()));
+    benchmark::DoNotOptimize(r.hops);
+  }
+}
+BENCHMARK(BM_BacktrackingRouteLive);
+
 /// One checkpoint-rewire plan per iteration over the same frozen serve
 /// topology: OscarOverlay::PlanLinks for a peer drawn from the ring
 /// entries, with the default random-walk sampler. That is the grow

@@ -3,16 +3,20 @@
 #
 #   scripts/check_kernel_alignment.sh [build/oscar_serve]
 #
-# Two hop kernels are declared 64-byte aligned in
-# src/routing/route_stepper.h: GreedyStepper::StepOn<TopologySnapshot>,
-# the CSR greedy hop that serve spends its time in, and
+# Both hop kernels are declared 64-byte aligned in
+# src/routing/route_stepper.h, and this script checks all four of their
+# instantiations: GreedyStepper::StepOn<TopologySnapshot>, the CSR
+# greedy hop that serve spends its time in;
 # BacktrackingStepper::StepOn<Network>, the live hop the message engine
-# routes with. With their code unchanged, a 16-byte shift caused by
-# unrelated changes cost serve 11% and sim-steady about 4%. gcc drops
-# the attribute without a word when it sits where gcc ignores it (on
-# the out-of-class template definition), so this script reads each
-# kernel's address from the binary (any tool linking the routing code)
-# and fails unless it is a multiple of 64.
+# routes with; GreedyStepper::StepOn<Network>, the live greedy hop of
+# the samplers' fallback routes (grow, churn repair); and
+# BacktrackingStepper::StepOn<TopologySnapshot>. With their code
+# unchanged, a 16-byte shift caused by unrelated changes cost serve 11%
+# and sim-steady about 4%. gcc drops the attribute without a word when
+# it sits where gcc ignores it (on the out-of-class template
+# definition), so this script reads each kernel's address from the
+# binary (any tool linking the routing code) and fails unless it is a
+# multiple of 64.
 
 set -euo pipefail
 
@@ -20,6 +24,8 @@ binary="${1:-build/oscar_serve}"
 kernels=(
   'oscar::GreedyStepper::StepOn<oscar::TopologySnapshot>(oscar::TopologySnapshot const&)'
   'oscar::BacktrackingStepper::StepOn<oscar::Network>(oscar::Network const&)'
+  'oscar::GreedyStepper::StepOn<oscar::Network>(oscar::Network const&)'
+  'oscar::BacktrackingStepper::StepOn<oscar::TopologySnapshot>(oscar::TopologySnapshot const&)'
 )
 
 if [[ ! -f "${binary}" ]]; then

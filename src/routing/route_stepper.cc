@@ -94,23 +94,26 @@ RouteStep GreedyStepper::StepOn(const Topo& topo) {
       NeighborRowOf(topo, current_, pos, /*with_in_links=*/false);
   const uint64_t here = RingDistance(topo.key(current_), target_);
   const size_t entries = row.ring_count + row.out.size();
-  if (distances_.size() < entries) distances_.resize(entries);
-  uint64_t* const distances = distances_.data();
-  // Pass 1, the only pass that reads a neighbor: buffer each entry's
-  // distance and keep the first strictly closest, by conditional
-  // selects. A dead entry buffers UINT64_MAX: never closer than `here`,
-  // never in the band; its probe is charged lazily below. Only a row
-  // with a dangling out-link reads liveness.
+  if (closer_.size() < entries) closer_.resize(entries);
+  Candidate* const closer = closer_.data();
+  // Pass 1, the only pass that reads a neighbor's key: keep the first
+  // strictly closest entry, and list the entries strictly closer than
+  // `here` in row order, all by conditional selects — every entry is
+  // written to the list, and the count advances only past a closer
+  // one. A dead entry scores UINT64_MAX: never closer than `here`, so
+  // never listed; its probe is charged lazily below. Only a row with a
+  // dangling out-link reads liveness.
   PeerId best = current_;
   uint64_t best_distance = here;
+  size_t closer_count = 0;
   const auto closest_pass = [&](auto distance) {
-    size_t i = 0;
     row.ForEach([&](PeerId candidate) {
       const uint64_t d = distance(candidate);
-      distances[i++] = d;
-      const bool closer = d < best_distance;
-      best = closer ? candidate : best;
-      best_distance = closer ? d : best_distance;
+      closer[closer_count] = {d, candidate};
+      closer_count += d < here;
+      const bool closest = d < best_distance;
+      best = closest ? candidate : best;
+      best_distance = closest ? d : best_distance;
     });
   };
   const bool has_dead = topo.dangling_out(current_) != 0;
@@ -125,37 +128,35 @@ RouteStep GreedyStepper::StepOn(const Topo& topo) {
       return RingDistance(topo.key(candidate), target_);
     });
   }
-  if (best_distance == here) {  // No strict progress: substrate violation.
+  if (closer_count == 0) {  // No strict progress: substrate violation.
     result_.terminal = current_;
     result_.success = false;
     done_ = true;
     step.kind = StepKind::kStuck;
     return step;
   }
-  // Pass 2, capacity-aware relaxation: any strictly-closer candidate
-  // within 50% of the best distance makes comparable progress; prefer
-  // the one with the largest declared in-budget (first one wins ties).
+  // Pass 2, capacity-aware relaxation over the strictly-closer list:
+  // any entry within 50% of the best distance makes comparable
+  // progress; prefer the one with the largest declared in-budget (the
+  // first one in row order wins ties).
   const uint64_t band =
       best_distance + best_distance / 2 < best_distance
           ? UINT64_MAX
           : best_distance + best_distance / 2;
   uint32_t best_in = topo.caps(best).max_in;
-  size_t i = 0;
-  row.ForEach([&](PeerId candidate) {
-    const uint64_t d = distances[i++];
-    if (d >= here || d > band) return;
-    const uint32_t in = topo.caps(candidate).max_in;
+  for (size_t i = 0; i < closer_count; ++i) {
+    if (closer[i].distance > band) continue;
+    const uint32_t in = topo.caps(closer[i].id).max_in;
     const bool roomier = in > best_in;
-    best = roomier ? candidate : best;
+    best = roomier ? closer[i].id : best;
     best_in = roomier ? in : best_in;
-  });
+  }
   // Charge probes for dead long links that looked strictly better than
   // the hop we ended up taking (the peer would have tried them first).
   if (has_dead) {
     best_distance = RingDistance(topo.key(best), target_);
-    i = 0;
     row.ForEach([&](PeerId candidate) {
-      if (distances[i++] == UINT64_MAX &&
+      if (!topo.alive(candidate) &&
           RingDistance(topo.key(candidate), target_) < best_distance) {
         ++result_.wasted;
         ++step.dead_probes;
@@ -213,25 +214,54 @@ RouteStep BacktrackingStepper::StepOn(const Topo& topo) {
   const NeighborRow row =
       NeighborRowOf(topo, current, pos, /*with_in_links=*/false);
   // The next hop is the smallest (distance, id) among alive, unvisited
-  // neighbors; the visited set is consulted only for a candidate that
-  // would beat the best so far. RingDistance never exceeds 2^63, so
-  // UINT64_MAX marks "none found".
+  // neighbors. RingDistance never exceeds 2^63, so UINT64_MAX marks
+  // "none found".
   uint64_t best_distance = UINT64_MAX;
   PeerId next = current;
+  // A row whose peer has no dangling out-link is all alive (ring
+  // neighbors always are), so it reads no liveness: the smallest
+  // (distance, id) over the whole row is taken by conditional selects
+  // on the pair packed into one integer, distance above id. When that
+  // entry is unvisited it is exactly the hop the scan below would
+  // pick, since dropping visited entries cannot make a smaller pair.
+  // Only when it is visited (mostly after a backtrack or a failed
+  // delivery) does the row fall back to the scan.
+  bool scan = topo.dangling_out(current) != 0;
+  if (!scan) {
+    using Ranked = unsigned __int128;
+    Ranked smallest = ~Ranked{0};  // Above every (distance, id) pair.
+    row.ForEach([&](PeerId candidate) {
+      const Ranked ranked =
+          Ranked{RingDistance(topo.key(candidate), target_)} << 32 |
+          candidate;
+      smallest = ranked < smallest ? ranked : smallest;
+    });
+    // An empty row (a dead current peer) leaves UINT64_MAX: none found.
+    best_distance = static_cast<uint64_t>(smallest >> 32);
+    next = static_cast<PeerId>(smallest);
+    scan = best_distance != UINT64_MAX && visited_.contains(next);
+  }
+  // The scan skips dead and visited entries, and consults the visited
+  // set only for a candidate that would beat the best so far.
   bool saw_dead = false;
-  row.ForEach([&](PeerId candidate) {
-    if (!topo.alive(candidate)) {
-      saw_dead = true;
-      return;
-    }
-    const uint64_t d = RingDistance(topo.key(candidate), target_);
-    if (std::make_pair(d, candidate) >= std::make_pair(best_distance, next) ||
-        visited_.contains(candidate)) {
-      return;
-    }
-    best_distance = d;
-    next = candidate;
-  });
+  if (scan) {
+    best_distance = UINT64_MAX;
+    next = current;
+    row.ForEach([&](PeerId candidate) {
+      if (!topo.alive(candidate)) {
+        saw_dead = true;
+        return;
+      }
+      const uint64_t d = RingDistance(topo.key(candidate), target_);
+      if (std::make_pair(d, candidate) >=
+              std::make_pair(best_distance, next) ||
+          visited_.contains(candidate)) {
+        return;
+      }
+      best_distance = d;
+      next = candidate;
+    });
+  }
   const bool found = best_distance != UINT64_MAX;
   if (saw_dead) {
     // A scan in (distance, id) order probes every dead, unvisited

@@ -69,17 +69,20 @@ struct RouteStep {
 /// alive ring neighbors, so strict progress is always possible and the
 /// route ends at the owner.
 ///
-/// A hop reads each neighbor once. The closest-neighbor pass writes
-/// every row entry's distance to the target into a buffer the stepper
-/// owns and reuses across hops and routes (UINT64_MAX for a dead
-/// entry); the capacity-band pass reads that buffer and fetches caps
-/// only for entries inside the band, and the dead-probe pass finds the
-/// dead entries by their UINT64_MAX. A row whose peer has no dangling
-/// out-link reads no liveness at all. That is exact: ring neighbors are
-/// always alive, and both backends keep each peer's dangling_out count
-/// equal to the dead targets of its out row (Network::CheckInvariants
-/// and TopologySnapshot::Validate audit it). Run dispatches on the
-/// backend once per route; Step, once per hop.
+/// A hop reads each neighbor's key once, in a closest-neighbor pass
+/// that keeps the first strictly closest entry and appends every
+/// strictly-closer entry (distance and id, in row order) to a list the
+/// stepper owns and reuses across hops and routes. The append is
+/// branch-free: each entry is written at the list's end and the count
+/// advances by `d < here`. The capacity-band pass walks only that list
+/// and fetches caps only for its entries inside the band. A row whose
+/// peer has no dangling out-link reads no liveness at all. That is
+/// exact: ring neighbors are always alive, and both backends keep each
+/// peer's dangling_out count equal to the dead targets of its out row
+/// (Network::CheckInvariants and TopologySnapshot::Validate audit it).
+/// A row with a dangling link scores a dead entry UINT64_MAX (never
+/// listed) and re-reads liveness in its dead-probe pass. Run
+/// dispatches on the backend once per route; Step, once per hop.
 class GreedyStepper {
  public:
   void Start(NetworkView net, PeerId source, KeyId target);
@@ -106,9 +109,15 @@ class GreedyStepper {
   KeyId target_;
   PeerId current_ = 0;
   bool done_ = true;
-  // The current row's distances to the target, in row order; only the
-  // first ring_count + out.size() entries belong to the current hop.
-  std::vector<uint64_t> distances_;
+  struct Candidate {
+    uint64_t distance;
+    PeerId id;
+  };
+  // The current row's entries strictly closer to the target than the
+  // current peer, in row order. Sized to the longest row seen, since
+  // the branch-free append writes every entry at the list's end before
+  // the count decides whether it stays.
+  std::vector<Candidate> closer_;
 };
 
 /// A set of peer ids for the per-route visited and probed sets: open
@@ -157,6 +166,17 @@ class PeerIdSet {
 /// Alive ring neighbors keep the search space connected, so every
 /// lookup eventually succeeds: the paper's "remains navigable" claim,
 /// priced in messages. The message engine drives this one.
+///
+/// The next hop is the smallest (distance, id) among alive, unvisited
+/// neighbors. On a row whose peer has no dangling out-link (every
+/// entry alive, by the invariant GreedyStepper relies on) the kernel
+/// reads no liveness and takes the smallest (distance, id) over the
+/// whole row by conditional selects. If that entry is unvisited it is
+/// exactly the scan's pick: the scan's candidates are a subset of the
+/// row that contains it. If it is visited, the row falls back to the
+/// exact scan that skips visited entries; a route mostly meets a
+/// visited argmin after a backtrack or a failed delivery. Rows with a
+/// dangling link keep the scan and its dead-probe pass.
 class BacktrackingStepper {
  public:
   void Start(NetworkView net, PeerId source, KeyId target);

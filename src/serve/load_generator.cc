@@ -67,8 +67,13 @@ void LoadGenerator::RoutePhase(ServeReport* report) {
 
   routed_.assign(options_.lookups, RoutedLookup{});
   const uint32_t threads = std::max(1u, options_.threads);
-  // One stepper per worker: a stepper holds its in-flight route state.
-  std::vector<GreedyStepper> steppers(threads);
+  // One stepper per worker: a stepper holds its in-flight route state,
+  // and every hop writes it. Each one starts its own cache line, so a
+  // hop never invalidates a line another worker's stepper lives on.
+  struct alignas(64) WorkerStepper {
+    GreedyStepper stepper;
+  };
+  std::vector<WorkerStepper> steppers(threads);
 
   const auto wall_start = std::chrono::steady_clock::now();
   ParallelForWorkers(
@@ -83,11 +88,17 @@ void LoadGenerator::RoutePhase(ServeReport* report) {
         const KeyId key =
             hot ? hot->Sample(&rng) : KeyId::FromRaw(rng.Next());
 
-        const RouteResult& result = steppers[worker].Run(view, source, key);
+        const RouteResult& result =
+            steppers[worker].stepper.Run(view, source, key);
         RoutedLookup& out = routed_[i];
         out.messages = result.hops + result.wasted;
         out.success = result.success;
-        out.owner = snapshot_.OwnerOf(key).value_or(source);
+        // A greedy route succeeds only on the peer that owns the key
+        // (Ring::OwnsAt, exactly OwnerOf(key) == peer), so only a
+        // failed route needs the ring's binary search.
+        out.owner = result.success
+                        ? result.terminal
+                        : snapshot_.OwnerOf(key).value_or(source);
       });
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

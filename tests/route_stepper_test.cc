@@ -500,11 +500,27 @@ struct OracleCoverage {
   size_t failed_deliveries = 0;
   size_t mid_route_crashes = 0;
   size_t band_moves = 0;  // Greedy hops that did not take the closest.
-  // Greedy steps that scanned a row whose peer has no dangling out-link
-  // (the pass that reads no liveness), and ones with a dangling link.
+  // Steps that scanned a row whose peer has no dangling out-link (the
+  // passes that read no liveness), and ones with a dangling link.
   size_t clean_row_steps = 0;
   size_t dangling_row_steps = 0;
+  // Backtracking clean-row steps whose smallest (distance, id) entry
+  // was already visited: the ones that fall back to the exact scan.
+  size_t visited_argmin_steps = 0;
 };
+
+/// The row entry with the smallest (distance to `target`, id), or
+/// nullopt for an empty row.
+std::optional<PeerId> RowArgmin(NetworkView net, PeerId id, KeyId target) {
+  std::optional<std::pair<uint64_t, PeerId>> best;
+  for (PeerId candidate : OracleRow(net, id)) {
+    const std::pair<uint64_t, PeerId> scored(
+        RingDistance(net.key(candidate), target), candidate);
+    if (!best.has_value() || scored < *best) best = scored;
+  }
+  if (!best.has_value()) return std::nullopt;
+  return best->second;
+}
 
 /// Steps the oracle and the kernel side by side from `source` toward
 /// `target` over `net`, requiring identical steps and route state after
@@ -534,12 +550,21 @@ void ExpectLockstep(NetworkView net, Network* crash_in, PeerId source,
     ASSERT_EQ(oracle.done(), kernel.done());
     ++coverage->steps;
     if (got.dead_probes > 0) ++coverage->dead_probe_steps;
-    if (std::is_same_v<Kernel, GreedyStepper> &&
-        got.kind != StepKind::kArrived) {
+    if (got.kind != StepKind::kArrived) {
       const uint32_t dangling = net.Visit(
           [&](const auto& topo) { return topo.dangling_out(got.from); });
       ++(dangling == 0 ? coverage->clean_row_steps
                        : coverage->dangling_row_steps);
+      if (std::is_same_v<Kernel, BacktrackingStepper> && dangling == 0) {
+        // The kernel forwards to an unvisited argmin; anything else
+        // means the argmin was visited.
+        const std::optional<PeerId> argmin =
+            RowArgmin(net, got.from, target);
+        if (argmin.has_value() &&
+            (got.kind != StepKind::kForward || got.to != *argmin)) {
+          ++coverage->visited_argmin_steps;
+        }
+      }
     }
     if (got.kind == StepKind::kForward) {
       const std::vector<PeerId> row = OracleRow(net, got.from);
@@ -670,12 +695,13 @@ void CheckKernelAgainstOracle() {
   EXPECT_GT(coverage.steps, 5000u);
   EXPECT_GT(coverage.dead_probe_steps, 250u);
   EXPECT_GT(coverage.mid_route_crashes, 200u);
+  EXPECT_GT(coverage.clean_row_steps, 1000u);
+  EXPECT_GT(coverage.dangling_row_steps, 1000u);
   if (std::is_same_v<Kernel, GreedyStepper>) {
     EXPECT_GT(coverage.band_moves, 200u);
-    EXPECT_GT(coverage.clean_row_steps, 1000u);
-    EXPECT_GT(coverage.dangling_row_steps, 1000u);
   } else {
     EXPECT_GT(coverage.failed_deliveries, 1000u);
+    EXPECT_GT(coverage.visited_argmin_steps, 100u);
   }
 }
 
