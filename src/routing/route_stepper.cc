@@ -215,43 +215,45 @@ RouteStep BacktrackingStepper::StepOn(const Topo& topo) {
       NeighborRowOf(topo, current, pos, /*with_in_links=*/false);
   // The next hop is the smallest (distance, id) among alive, unvisited
   // neighbors. RingDistance never exceeds 2^63, so UINT64_MAX marks
-  // "none found".
-  uint64_t best_distance = UINT64_MAX;
-  PeerId next = current;
-  // A row whose peer has no dangling out-link is all alive (ring
-  // neighbors always are), so it reads no liveness: the smallest
-  // (distance, id) over the whole row is taken by conditional selects
-  // on the pair packed into one integer, distance above id. When that
-  // entry is unvisited it is exactly the hop the scan below would
-  // pick, since dropping visited entries cannot make a smaller pair.
-  // Only when it is visited (mostly after a backtrack or a failed
-  // delivery) does the row fall back to the scan.
-  bool scan = topo.dangling_out(current) != 0;
-  if (!scan) {
-    using Ranked = unsigned __int128;
-    Ranked smallest = ~Ranked{0};  // Above every (distance, id) pair.
+  // "none found". The smallest (distance, id) over the whole row is
+  // taken first, by conditional selects on the pair packed into one
+  // integer, distance above id; a dead entry scores UINT64_MAX. Only a
+  // row with a dangling out-link reads liveness: ring neighbors are
+  // always alive, and a dead current peer's row is empty. When that
+  // entry is unvisited it is exactly the hop the scan below would pick,
+  // since dropping visited entries cannot make a smaller pair. Only when
+  // it is visited (mostly after a backtrack or a failed delivery) does
+  // the row fall back to the scan.
+  const bool has_dead = topo.dangling_out(current) != 0;
+  using Ranked = unsigned __int128;
+  Ranked smallest = ~Ranked{0};  // Above every (distance, id) pair.
+  const auto argmin_pass = [&](auto distance) {
     row.ForEach([&](PeerId candidate) {
-      const Ranked ranked =
-          Ranked{RingDistance(topo.key(candidate), target_)} << 32 |
-          candidate;
+      const Ranked ranked = Ranked{distance(candidate)} << 32 | candidate;
       smallest = ranked < smallest ? ranked : smallest;
     });
-    // An empty row (a dead current peer) leaves UINT64_MAX: none found.
-    best_distance = static_cast<uint64_t>(smallest >> 32);
-    next = static_cast<PeerId>(smallest);
-    scan = best_distance != UINT64_MAX && visited_.contains(next);
+  };
+  if (has_dead) {
+    argmin_pass([&](PeerId candidate) {
+      return topo.alive(candidate)
+                 ? RingDistance(topo.key(candidate), target_)
+                 : UINT64_MAX;
+    });
+  } else {
+    argmin_pass([&](PeerId candidate) {
+      return RingDistance(topo.key(candidate), target_);
+    });
   }
-  // The scan skips dead and visited entries, and consults the visited
-  // set only for a candidate that would beat the best so far.
-  bool saw_dead = false;
-  if (scan) {
+  // A row of dead entries only, or an empty one, leaves UINT64_MAX.
+  uint64_t best_distance = static_cast<uint64_t>(smallest >> 32);
+  PeerId next = static_cast<PeerId>(smallest);
+  // The fallback scan skips dead and visited entries, and consults the
+  // visited set only for a candidate that would beat the best so far.
+  if (best_distance != UINT64_MAX && visited_.contains(next)) {
     best_distance = UINT64_MAX;
     next = current;
     row.ForEach([&](PeerId candidate) {
-      if (!topo.alive(candidate)) {
-        saw_dead = true;
-        return;
-      }
+      if (!topo.alive(candidate)) return;
       const uint64_t d = RingDistance(topo.key(candidate), target_);
       if (std::make_pair(d, candidate) >=
               std::make_pair(best_distance, next) ||
@@ -263,7 +265,7 @@ RouteStep BacktrackingStepper::StepOn(const Topo& topo) {
     });
   }
   const bool found = best_distance != UINT64_MAX;
-  if (saw_dead) {
+  if (has_dead) {
     // A scan in (distance, id) order probes every dead, unvisited
     // neighbor ranked before the chosen hop (all of them on a dead
     // end). The first probe of a dead neighbor costs a message;

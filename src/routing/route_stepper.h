@@ -168,15 +168,15 @@ class PeerIdSet {
 /// priced in messages. The message engine drives this one.
 ///
 /// The next hop is the smallest (distance, id) among alive, unvisited
-/// neighbors. On a row whose peer has no dangling out-link (every
-/// entry alive, by the invariant GreedyStepper relies on) the kernel
-/// reads no liveness and takes the smallest (distance, id) over the
-/// whole row by conditional selects. If that entry is unvisited it is
-/// exactly the scan's pick: the scan's candidates are a subset of the
-/// row that contains it. If it is visited, the row falls back to the
-/// exact scan that skips visited entries; a route mostly meets a
-/// visited argmin after a backtrack or a failed delivery. Rows with a
-/// dangling link keep the scan and its dead-probe pass.
+/// neighbors. Every hop first takes the smallest (distance, id) over
+/// the whole row by conditional selects, a dead entry scoring
+/// UINT64_MAX. A row whose peer has no dangling out-link reads no
+/// liveness, by the invariant GreedyStepper relies on. If that entry
+/// is unvisited it is exactly the scan's pick: the scan's candidates
+/// are a subset of the row that contains it. If it is visited, the row
+/// falls back to the exact scan that skips visited entries; a route
+/// mostly meets a visited argmin after a backtrack or a failed
+/// delivery. Only a row with a dangling link runs the dead-probe pass.
 class BacktrackingStepper {
  public:
   void Start(NetworkView net, PeerId source, KeyId target);
