@@ -1,5 +1,6 @@
 #include "bench_util.h"
 
+#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <set>
@@ -31,6 +32,12 @@ void ShapeCheck(const std::string& claim, bool holds) {
 }
 
 int ExitCode() { return g_all_checks_passed ? 0 : 1; }
+
+void Must(const Status& status, const std::string& context) {
+  if (status.ok()) return;
+  std::cerr << context << ": " << status << "\n";
+  std::exit(2);
+}
 
 void PrintSearchCostTable(const std::string& title,
                           const std::vector<SearchCostRow>& rows) {

@@ -12,9 +12,12 @@
 //      so a regression is visible in plain bench output and greppable
 //      by CI (`grep "shape-check.*VIOLATED"`).
 //   4. `main` returns `ExitCode()`: 0 iff every ShapeCheck in the
-//      process passed, 1 otherwise. Harnesses reserve exit code 2 for
-//      infrastructure failures (an experiment returning an error
-//      Status), distinct from a clean run with violated claims.
+//      process passed, 1 otherwise. `Must` exits 2 on infrastructure
+//      failures (an experiment returning an error Status), distinct
+//      from a clean run with violated claims.
+//
+// Stdout carries no timing; the `<harness>_seed<N>` ctests compare it
+// with tests/golden/ (scripts/check_golden.sh).
 //
 // Environment knobs (one naming convention, `OSCAR_BENCH_*`, shared by
 // every harness AND the `tools/oscar_sim` scenario runner — all of them
@@ -39,6 +42,7 @@
 #define OSCAR_BENCH_BENCH_UTIL_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiments.h"
@@ -57,6 +61,17 @@ void ShapeCheck(const std::string& claim, bool holds);
 
 /// Exit code helper: 0 when all shape checks passed so far, 1 otherwise.
 int ExitCode();
+
+/// The infrastructure-error exit: on an error `status`, prints
+/// `<context>: <status>` to stderr and exits 2.
+void Must(const Status& status, const std::string& context);
+
+/// The same for a Result; returns its value.
+template <typename T>
+T Must(Result<T> result, const std::string& context) {
+  Must(result.status(), context);
+  return std::move(result).value();
+}
 
 /// Arrange SearchCostRow series into a size-by-series table and print.
 void PrintSearchCostTable(const std::string& title,

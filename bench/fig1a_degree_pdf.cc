@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "common/stats.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "degree/spiky_degree.h"
@@ -33,7 +32,6 @@ int main() {
 
   TablePrinter table("node degree pdf (only bins with mass >= 1e-4)");
   table.SetHeader({"degree", "pmf", "empirical", "note"});
-  RunningStats mean_check;
   for (const auto& [degree, p] : pmf) {
     if (p < 1e-4) continue;
     std::string note;

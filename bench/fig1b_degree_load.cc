@@ -22,22 +22,14 @@ int main() {
                      "utilization (Oscar x3 vs Mercury)",
                      scale);
 
-  auto oscar_rows = RunDegreeLoad(
-      scale, {"constant", "realistic", "stepped"}, OscarFactory(), "oscar");
-  if (!oscar_rows.ok()) {
-    std::cerr << "oscar runs failed: " << oscar_rows.status() << "\n";
-    return 2;
-  }
-  auto mercury_rows =
-      RunDegreeLoad(scale, {"constant"}, MercuryFactory(), "mercury");
-  if (!mercury_rows.ok()) {
-    std::cerr << "mercury run failed: " << mercury_rows.status() << "\n";
-    return 2;
-  }
-
-  std::vector<DegreeLoadRow> rows = oscar_rows.value();
-  rows.insert(rows.end(), mercury_rows.value().begin(),
-              mercury_rows.value().end());
+  std::vector<DegreeLoadRow> rows = bench::Must(
+      RunDegreeLoad(scale, {"constant", "realistic", "stepped"},
+                    OscarFactory(), "oscar"),
+      "oscar runs");
+  const std::vector<DegreeLoadRow> mercury_rows = bench::Must(
+      RunDegreeLoad(scale, {"constant"}, MercuryFactory(), "mercury"),
+      "mercury run");
+  rows.insert(rows.end(), mercury_rows.begin(), mercury_rows.end());
 
   // The Fig 1(b) curves, downsampled to 11 sorted-peer positions.
   constexpr size_t kPoints = 11;

@@ -19,13 +19,10 @@ int main() {
                      "distributions (Gnutella keys)",
                      scale);
 
-  auto rows_result = RunSearchCostVsSize(
-      scale, {"constant", "realistic", "stepped"}, {0.0}, OscarFactory());
-  if (!rows_result.ok()) {
-    std::cerr << "experiment failed: " << rows_result.status() << "\n";
-    return 2;
-  }
-  const std::vector<SearchCostRow>& rows = rows_result.value();
+  const std::vector<SearchCostRow> rows = bench::Must(
+      RunSearchCostVsSize(scale, {"constant", "realistic", "stepped"},
+                          {0.0}, OscarFactory()),
+      "search cost");
   bench::PrintSearchCostTable("average search cost (hops)", rows);
 
   // Shape checks.

@@ -20,14 +20,10 @@ int main() {
                      "constant & 'realistic' in-degree distributions",
                      scale);
 
-  auto rows_result =
+  const std::vector<SearchCostRow> rows = bench::Must(
       RunSearchCostVsSize(scale, {"constant", "realistic"},
-                          {0.0, 0.10, 0.33}, OscarFactory());
-  if (!rows_result.ok()) {
-    std::cerr << "experiment failed: " << rows_result.status() << "\n";
-    return 2;
-  }
-  const std::vector<SearchCostRow>& rows = rows_result.value();
+                          {0.0, 0.10, 0.33}, OscarFactory()),
+      "search cost");
 
   for (const char* series : {"constant", "realistic"}) {
     std::vector<SearchCostRow> subset;

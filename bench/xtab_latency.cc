@@ -25,12 +25,9 @@ int main() {
                      "probe timeouts",
                      scale);
 
-  auto keys = MakeKeyDistribution("gnutella");
-  auto degrees = MakePaperDegreeDistribution("constant");
-  if (!keys.ok() || !degrees.ok()) {
-    std::cerr << "factory failure\n";
-    return 2;
-  }
+  const auto keys = bench::Must(MakeKeyDistribution("gnutella"), "keys");
+  const auto degrees =
+      bench::Must(MakePaperDegreeDistribution("constant"), "degrees");
 
   TablePrinter table("query latency");
   table.SetHeader({"overlay", "churn", "mean ms", "p50 ms", "p95 ms"});
@@ -43,24 +40,15 @@ int main() {
     config.target_size = scale.target_size;
     config.queries_per_checkpoint = 1;
     config.seed = scale.seed;
-    config.key_distribution = keys.value();
-    config.degree_distribution = degrees.value();
+    config.key_distribution = keys;
+    config.degree_distribution = degrees;
     config.overlay = factory();
     Simulation sim(std::move(config));
-    if (auto grown = sim.Run(); !grown.ok()) {
-      std::cerr << "growth failed: " << grown.status() << "\n";
-      return 2;
-    }
+    bench::Must(sim.Run(), "growth");
     for (const double churn : {0.0, 0.33}) {
       Network net = sim.network();
       Rng rng(scale.seed + 21);
-      if (churn > 0.0) {
-        auto crashed = CrashFraction(&net, churn, &rng);
-        if (!crashed.ok()) {
-          std::cerr << crashed.status() << "\n";
-          return 2;
-        }
-      }
+      if (churn > 0.0) bench::Must(CrashFraction(&net, churn, &rng), "crash");
       const LatencyEvaluation eval = EvaluateLatency(
           net, churn > 0.0 ? Routing::kBacktracking : Routing::kGreedy,
           scale.queries, &rng);

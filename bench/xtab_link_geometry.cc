@@ -26,11 +26,8 @@ int main() {
                      "(flat == navigable small world)",
                      scale);
 
-  auto degrees = MakePaperDegreeDistribution("constant");
-  if (!degrees.ok()) {
-    std::cerr << degrees.status() << "\n";
-    return 2;
-  }
+  const auto degrees =
+      bench::Must(MakePaperDegreeDistribution("constant"), "degrees");
 
   struct Cell {
     std::string overlay;
@@ -46,24 +43,16 @@ int main() {
   };
   for (const auto& [name, factory] : overlays) {
     for (const char* key_name : {"uniform", "gnutella"}) {
-      auto keys = MakeKeyDistribution(key_name);
-      if (!keys.ok()) {
-        std::cerr << keys.status() << "\n";
-        return 2;
-      }
       GrowthConfig config;
       config.target_size = scale.target_size;
       config.queries_per_checkpoint = 1;  // Geometry only.
       config.seed = scale.seed;
-      config.key_distribution = keys.value();
-      config.degree_distribution = degrees.value();
+      config.key_distribution =
+          bench::Must(MakeKeyDistribution(key_name), "keys");
+      config.degree_distribution = degrees;
       config.overlay = factory();
       Simulation sim(std::move(config));
-      auto run = sim.Run();
-      if (!run.ok()) {
-        std::cerr << "growth failed: " << run.status() << "\n";
-        return 2;
-      }
+      bench::Must(sim.Run(), "growth");
       cells.push_back(
           Cell{name, key_name, ComputeLinkGeometry(sim.network())});
     }

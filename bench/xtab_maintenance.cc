@@ -26,12 +26,9 @@ int main() {
                      "(2% leave+join per round, 12 rounds)",
                      scale);
 
-  auto keys = MakeKeyDistribution("gnutella");
-  auto degrees = MakePaperDegreeDistribution("constant");
-  if (!keys.ok() || !degrees.ok()) {
-    std::cerr << "factory failure\n";
-    return 2;
-  }
+  const auto keys = bench::Must(MakeKeyDistribution("gnutella"), "keys");
+  const auto degrees =
+      bench::Must(MakePaperDegreeDistribution("constant"), "degrees");
 
   TablePrinter table("steady-state quality vs proactive maintenance");
   table.SetHeader({"proactive", "avg cost", "avg wasted", "success",
@@ -43,16 +40,12 @@ int main() {
     config.target_size = scale.target_size;
     config.queries_per_checkpoint = 1;
     config.seed = scale.seed;
-    config.key_distribution = keys.value();
-    config.degree_distribution = degrees.value();
+    config.key_distribution = keys;
+    config.degree_distribution = degrees;
     auto overlay = std::make_shared<OscarOverlay>();
     config.overlay = overlay;
     Simulation sim(std::move(config));
-    auto grown = sim.Run();
-    if (!grown.ok()) {
-      std::cerr << "growth failed: " << grown.status() << "\n";
-      return 2;
-    }
+    bench::Must(sim.Run(), "growth");
     Network net = sim.network();
 
     MaintenanceOptions options;
@@ -68,25 +61,19 @@ int main() {
       churn.leaves_per_round = churn_per_round;
       churn.joins_per_round = churn_per_round;
       churn.rounds = 1;
-      auto churn_result = RollingChurn(
-          &net, churn, *keys.value(), *degrees.value(),
-          [&](Network* n, PeerId id, Rng* r) {
-            return overlay->BuildLinks(n, id, r);
-          },
-          &rng);
-      if (!churn_result.ok()) {
-        std::cerr << churn_result.status() << "\n";
-        return 2;
-      }
-      auto report = maintainer.RunRound(&net, &rng);
-      if (!report.ok()) {
-        std::cerr << report.status() << "\n";
-        return 2;
-      }
-      sampling += report.value().sampling_steps;
+      bench::Must(RollingChurn(
+                      &net, churn, *keys, *degrees,
+                      [&](Network* n, PeerId id, Rng* r) {
+                        return overlay->BuildLinks(n, id, r);
+                      },
+                      &rng),
+                  "churn");
+      sampling +=
+          bench::Must(maintainer.RunRound(&net, &rng), "maintenance round")
+              .sampling_steps;
       SearchOptions search;
       search.num_queries = scale.queries / 2;
-      search.query_distribution = keys.value().get();
+      search.query_distribution = keys.get();
       last_eval = EvaluateSearch(net, Routing::kBacktracking, search, &rng);
     }
     costs.push_back(last_eval.avg_cost);

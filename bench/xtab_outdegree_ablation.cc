@@ -28,11 +28,7 @@ int main() {
                      "Oscar out-degree budget sweep (Gnutella keys)",
                      scale);
 
-  auto keys = MakeKeyDistribution("gnutella");
-  if (!keys.ok()) {
-    std::cerr << keys.status() << "\n";
-    return 2;
-  }
+  const auto keys = bench::Must(MakeKeyDistribution("gnutella"), "keys");
   const double log_n = std::log2(static_cast<double>(scale.target_size));
 
   TablePrinter table("avg search cost vs out-degree budget");
@@ -44,26 +40,16 @@ int main() {
     config.target_size = scale.target_size;
     config.queries_per_checkpoint = scale.queries;
     config.seed = scale.seed;
-    config.key_distribution = keys.value();
-    auto degrees = ConstantDegreeDistribution::Make(
-        std::max(budget, 2u) /* in-cap: allow some slack at budget 1 */,
-        budget);
-    if (!degrees.ok()) {
-      std::cerr << degrees.status() << "\n";
-      return 2;
-    }
-    config.degree_distribution =
-        std::make_shared<ConstantDegreeDistribution>(
-            std::move(degrees).value());
+    config.key_distribution = keys;
+    // In-cap: allow some slack at budget 1.
+    config.degree_distribution = std::make_shared<ConstantDegreeDistribution>(
+        bench::Must(ConstantDegreeDistribution::Make(std::max(budget, 2u),
+                                                     budget),
+                    "degrees"));
     config.overlay = std::make_shared<OscarOverlay>();
     Simulation sim(std::move(config));
-    auto result = sim.Run();
-    if (!result.ok()) {
-      std::cerr << "growth failed: " << result.status() << "\n";
-      return 2;
-    }
-    const SearchEvaluation& eval =
-        result.value().checkpoints.back().search;
+    const auto grown = bench::Must(sim.Run(), "growth");
+    const SearchEvaluation& eval = grown.checkpoints.back().search;
     costs.push_back(eval.avg_cost);
     table.AddRow({StrCat(budget), FormatDouble(eval.avg_cost, 2),
                   FormatDouble(eval.p95_cost, 1),

@@ -24,18 +24,14 @@ int main() {
                      "across key distributions (constant degree 27)",
                      scale);
 
-  auto rows_result = RunOverlayComparison(
-      scale,
-      {{"oscar", OscarFactory()},
-       {"mercury", MercuryFactory()},
-       {"chord", ChordFactory()},
-       {"kleinberg-oracle", KleinbergFactory()}},
-      {"uniform", "gnutella", "clustered"});
-  if (!rows_result.ok()) {
-    std::cerr << "experiment failed: " << rows_result.status() << "\n";
-    return 2;
-  }
-  const std::vector<ComparisonRow>& rows = rows_result.value();
+  const std::vector<ComparisonRow> rows = bench::Must(
+      RunOverlayComparison(scale,
+                           {{"oscar", OscarFactory()},
+                            {"mercury", MercuryFactory()},
+                            {"chord", ChordFactory()},
+                            {"kleinberg-oracle", KleinbergFactory()}},
+                           {"uniform", "gnutella", "clustered"}),
+      "overlay comparison");
 
   TablePrinter table("avg search cost (hops) | degree-volume utilization");
   table.SetHeader({"overlay", "uniform", "gnutella", "clustered"});

@@ -32,13 +32,11 @@ int main() {
     const OverlayFactory factory =
         p2c ? OscarFactory() : OscarNoP2cFactory();
     for (const char* degrees : {"constant", "realistic"}) {
-      auto rows = RunDegreeLoad(scale, {degrees}, factory,
-                                p2c ? "oscar+p2c" : "oscar-no-p2c");
-      if (!rows.ok()) {
-        std::cerr << "experiment failed: " << rows.status() << "\n";
-        return 2;
-      }
-      const DegreeLoadRow& row = rows.value().front();
+      const DegreeLoadRow row =
+          bench::Must(RunDegreeLoad(scale, {degrees}, factory,
+                                    p2c ? "oscar+p2c" : "oscar-no-p2c"),
+                      "degree load")
+              .front();
       const auto& curve = row.report.sorted_relative_load;
       table.AddRow(
           {row.overlay_name, row.degree_name,

@@ -25,24 +25,18 @@ int main() {
                      "crash waves (items follow the key distribution)",
                      scale);
 
-  auto keys = MakeKeyDistribution("gnutella");
-  auto degrees = MakePaperDegreeDistribution("constant");
-  if (!keys.ok() || !degrees.ok()) {
-    std::cerr << "factory failure\n";
-    return 2;
-  }
+  const auto keys = bench::Must(MakeKeyDistribution("gnutella"), "keys");
+  const auto degrees =
+      bench::Must(MakePaperDegreeDistribution("constant"), "degrees");
   GrowthConfig config;
   config.target_size = scale.target_size;
   config.queries_per_checkpoint = 1;
   config.seed = scale.seed;
-  config.key_distribution = keys.value();
-  config.degree_distribution = degrees.value();
+  config.key_distribution = keys;
+  config.degree_distribution = degrees;
   config.overlay = OscarFactory()();
   Simulation sim(std::move(config));
-  if (auto grown = sim.Run(); !grown.ok()) {
-    std::cerr << "growth failed: " << grown.status() << "\n";
-    return 2;
-  }
+  bench::Must(sim.Run(), "growth");
 
   const size_t num_items = 5000;
   TablePrinter table(StrCat(num_items, " items, availability (%)"));
@@ -55,18 +49,10 @@ int main() {
       ReplicatedStore store(replicas);
       Rng rng(scale.seed + 13);
       for (size_t i = 0; i < num_items; ++i) {
-        const Status st = store.Put(net, keys.value()->Sample(&rng),
-                                    StrCat("item", i));
-        if (!st.ok()) {
-          std::cerr << st << "\n";
-          return 2;
-        }
+        bench::Must(store.Put(net, keys->Sample(&rng), StrCat("item", i)),
+                    "put");
       }
-      auto crashed = CrashFraction(&net, crash, &rng);
-      if (!crashed.ok()) {
-        std::cerr << crashed.status() << "\n";
-        return 2;
-      }
+      bench::Must(CrashFraction(&net, crash, &rng), "crash");
       const AvailabilityReport before = store.CheckAvailability(net);
       const size_t lost = store.ReReplicate(net);
       const AvailabilityReport after = store.CheckAvailability(net);

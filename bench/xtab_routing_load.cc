@@ -24,11 +24,7 @@ int main() {
                      "(Gnutella keys)",
                      scale);
 
-  auto keys = MakeKeyDistribution("gnutella");
-  if (!keys.ok()) {
-    std::cerr << keys.status() << "\n";
-    return 2;
-  }
+  const auto keys = bench::Must(MakeKeyDistribution("gnutella"), "keys");
 
   TablePrinter table("per-peer routing load over " +
                      StrCat(4 * scale.queries) + " skewed queries");
@@ -41,27 +37,19 @@ int main() {
   };
   for (const auto& [name, factory] : variants) {
     for (const char* degrees : {"constant", "realistic"}) {
-      auto degree_dist = MakePaperDegreeDistribution(degrees);
-      if (!degree_dist.ok()) {
-        std::cerr << degree_dist.status() << "\n";
-        return 2;
-      }
       GrowthConfig config;
       config.target_size = scale.target_size;
       config.queries_per_checkpoint = 1;  // Load measured separately.
       config.seed = scale.seed;
-      config.key_distribution = keys.value();
-      config.degree_distribution = degree_dist.value();
+      config.key_distribution = keys;
+      config.degree_distribution =
+          bench::Must(MakePaperDegreeDistribution(degrees), "degrees");
       config.overlay = factory();
       Simulation sim(std::move(config));
-      auto run = sim.Run();
-      if (!run.ok()) {
-        std::cerr << "growth failed: " << run.status() << "\n";
-        return 2;
-      }
+      bench::Must(sim.Run(), "growth");
       RoutingLoadOptions options;
       options.num_queries = 4 * scale.queries;
-      options.query_distribution = keys.value().get();
+      options.query_distribution = keys.get();
       Rng rng(scale.seed + 99);
       const RoutingLoadReport report = EvaluateRoutingLoad(
           sim.network(), Routing::kGreedy, options, &rng);

@@ -27,14 +27,12 @@ int main() {
                    "walk steps/peer"});
   std::vector<double> costs;
   for (uint32_t s : sample_sizes) {
-    auto rows = RunOverlayComparison(
-        scale, {{StrCat("oscar-s", s), OscarWithSampleSize(s)}},
-        {"gnutella"});
-    if (!rows.ok()) {
-      std::cerr << "experiment failed: " << rows.status() << "\n";
-      return 2;
-    }
-    const ComparisonRow& row = rows.value().front();
+    const ComparisonRow row =
+        bench::Must(RunOverlayComparison(
+                        scale, {{StrCat("oscar-s", s), OscarWithSampleSize(s)}},
+                        {"gnutella"}),
+                    "overlay comparison")
+            .front();
     costs.push_back(row.avg_cost);
     table.AddRow({StrCat(s), FormatDouble(row.avg_cost, 2),
                   FormatPercent(row.success_rate, 1),

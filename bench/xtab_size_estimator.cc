@@ -25,12 +25,9 @@ int main() {
                      "(Gnutella keys, constant degree 27)",
                      scale);
 
-  auto keys = MakeKeyDistribution("gnutella");
-  auto degrees = MakePaperDegreeDistribution("constant");
-  if (!keys.ok() || !degrees.ok()) {
-    std::cerr << "factory failure\n";
-    return 2;
-  }
+  const auto keys = bench::Must(MakeKeyDistribution("gnutella"), "keys");
+  const auto degrees =
+      bench::Must(MakePaperDegreeDistribution("constant"), "degrees");
 
   TablePrinter table("size estimator vs routing quality");
   table.SetHeader({"estimator", "avg cost", "p95", "success"});
@@ -50,18 +47,14 @@ int main() {
     config.target_size = scale.target_size;
     config.queries_per_checkpoint = scale.queries;
     config.seed = scale.seed;
-    config.key_distribution = keys.value();
-    config.degree_distribution = degrees.value();
+    config.key_distribution = keys;
+    config.degree_distribution = degrees;
     OscarOptions options;
     options.size_estimator = variant.estimator;
     config.overlay = std::make_shared<OscarOverlay>(options);
     Simulation sim(std::move(config));
-    auto run = sim.Run();
-    if (!run.ok()) {
-      std::cerr << "growth failed: " << run.status() << "\n";
-      return 2;
-    }
-    const SearchEvaluation& eval = run.value().checkpoints.back().search;
+    const auto grown = bench::Must(sim.Run(), "growth");
+    const SearchEvaluation& eval = grown.checkpoints.back().search;
     costs.push_back(eval.avg_cost);
     table.AddRow({variant.label, FormatDouble(eval.avg_cost, 2),
                   FormatDouble(eval.p95_cost, 1),

@@ -53,6 +53,19 @@ expect_ok() {
   fi
 }
 
+# expect_help_lists <flag...>: `--help` prints the usage text, generated
+# from the tool's flag table, on stdout; it must name every flag.
+expect_help_lists() {
+  local help flag
+  help=$("${bin}" --help 2>/dev/null) || true
+  for flag in "$@"; do
+    if ! grep -qE -- "(^|[[:space:][])${flag}([]=[:space:]]|$)" <<< "${help}"; then
+      echo "FAIL --help does not list ${flag}" >&2
+      fail=1
+    fi
+  done
+}
+
 # Corners every tool shares: an unknown flag, and --help.
 expect_reject "unknown flag" --frobnicate
 expect_ok "--help exits 0" --help
@@ -118,6 +131,8 @@ oscar_sim)
   expect_ok "cadence zero disables maintenance"  --maintenance-cadence-ms=0 repair-vs-churn
   expect_ok "trace flags in the space form" \
     --trace-file "${workdir}/run.otrace" --queue-cadence-ms 5 baseline
+  expect_help_lists --help --list --scenarios --trace-file --queue-cadence-ms \
+    --maintenance-cadence-ms --fault-plan
   ;;
 oscar_serve)
   expect_reject "positional argument"       firehose
@@ -152,6 +167,9 @@ oscar_serve)
   expect_ok "tiny sweep runs"  --lookups=400 --rates=0,2000 --policies=none,drop-tail
   expect_ok "tiny sweep runs (space form)" \
     --lookups 400 --rates 0,2000 --policies none --trace-file "${workdir}/run.otrace"
+  expect_help_lists --help --rates --lookups --policies --concurrency --hop-ms \
+    --timeout-ms --queue-cap --peer-cap --hot-keys --zipf --list-policies \
+    --trace-file --queue-cadence-ms
   ;;
 oscar_trace)
   # A one-event trace (columnar_trace.h, little-endian): the header, one
@@ -180,6 +198,7 @@ oscar_trace)
   expect_ok "--time-buckets in the space form" \
     "${one}" --time-buckets 96 --peer-buckets 24
   expect_ok "flags before the file"         --time-buckets=96 --no-heatmap "${one}"
+  expect_help_lists --help --time-buckets --peer-buckets --csv --no-heatmap
   ;;
 esac
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Determinism contract test for the simulation CLIs, run under ctest:
 #
-#   scripts/check_determinism.sh oscar_sim|oscar_serve path/to/binary
+#   scripts/check_determinism.sh oscar_sim|oscar_serve path/to/binary [COMPILER_ID]
 #
 # For seeds 42-45 the same invocation runs at OSCAR_THREADS=1, at 4 and
 # at 1 again, each writing a `.otrace` trace. The stdout summary and the
@@ -14,11 +14,16 @@
 # sampler on every 5 virtual ms, so the traces also carry each peer's
 # service-queue depth and the in-flight count through every run;
 # oscar_serve sweeps rate limiting off and on over Zipf-hot keys.
+# Last, the sha256 digests of each seed's OSCAR_THREADS=1 stdout and
+# trace must match tests/golden/<tool>_determinism.sha256, through
+# check_golden.sh (fatal only under the toolchain stamped there).
 
 set -euo pipefail
 
-tool="${1:?usage: check_determinism.sh oscar_sim|oscar_serve path/to/binary}"
+tool="${1:?usage: check_determinism.sh oscar_sim|oscar_serve path/to/binary [COMPILER_ID]}"
 bin="${2:?missing path to ${tool}}"
+compiler="${3:-}"
+scripts="$(cd "$(dirname "$0")" && pwd)"
 workdir="$(mktemp -d)"
 trap 'rm -rf "${workdir}"' EXIT
 unset OSCAR_BENCH_SCALE 2>/dev/null || true
@@ -96,6 +101,13 @@ if [[ "${tool}" == oscar_sim ]]; then
       fail=1
     fi
   done
+fi
+
+if ! (cd "${workdir}" &&
+      bash "${scripts}/check_golden.sh" \
+        "${scripts}/../tests/golden/${tool}_determinism.sha256" "${compiler}" \
+        sha256sum s4{2..5}_t1.out s4{2..5}_t1.otrace); then
+  fail=1
 fi
 
 if [[ "${fail}" -eq 0 ]]; then

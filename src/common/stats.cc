@@ -2,35 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace oscar {
-
-RunningStats::RunningStats()
-    : count_(0),
-      mean_(0.0),
-      m2_(0.0),
-      min_(std::numeric_limits<double>::infinity()),
-      max_(-std::numeric_limits<double>::infinity()) {}
-
-void RunningStats::Push(double x) {
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-double RunningStats::Variance() const {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::StdDev() const { return std::sqrt(Variance()); }
-
-double RunningStats::Min() const { return count_ == 0 ? 0.0 : min_; }
-
-double RunningStats::Max() const { return count_ == 0 ? 0.0 : max_; }
 
 double Percentile(std::vector<double> values, double pct) {
   if (values.empty()) return 0.0;
@@ -96,8 +69,6 @@ void LogHistogram::Record(double value) {
 double LogHistogram::Mean() const {
   return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
 }
-
-double LogHistogram::Min() const { return count_ == 0 ? 0.0 : min_; }
 
 double LogHistogram::Max() const { return count_ == 0 ? 0.0 : max_; }
 

@@ -9,27 +9,6 @@
 
 namespace oscar {
 
-/// Welford-style accumulator for mean / variance / extrema.
-class RunningStats {
- public:
-  RunningStats();
-
-  void Push(double x);
-  size_t Count() const { return count_; }
-  double Mean() const { return count_ == 0 ? 0.0 : mean_; }
-  double Variance() const;
-  double StdDev() const;
-  double Min() const;
-  double Max() const;
-
- private:
-  size_t count_;
-  double mean_;
-  double m2_;
-  double min_;
-  double max_;
-};
-
 /// Percentile in [0, 100] by linear interpolation; 0 for empty input.
 double Percentile(std::vector<double> values, double pct);
 
@@ -57,11 +36,10 @@ class LogHistogram {
 
   uint64_t Count() const { return count_; }
   double Mean() const;
-  double Min() const;  // Exact; 0 when empty.
   double Max() const;  // Exact; 0 when empty.
 
   /// Percentile in [0, 100]: rank-interpolated inside the owning
-  /// bucket's geometric bounds, clamped to the exact [Min, Max] so the
+  /// bucket's geometric bounds, clamped to the exact [min, max] so the
   /// extremes never quantize outside the recorded range. 0 when empty.
   double Percentile(double pct) const;
 

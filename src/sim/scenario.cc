@@ -220,22 +220,6 @@ Result<ScenarioOptions> MakeScenarioOptions(const std::string& name,
                               "' (see ScenarioCatalog)"));
 }
 
-Result<ScenarioResult> RunScenario(const std::string& name,
-                                   const ScenarioOptions& base) {
-  auto resolved = MakeScenarioOptions(name, base);  // Fail fast on names.
-  if (!resolved.ok()) return resolved.status();
-  auto grown = GrowScenarioTopology(base);
-  if (!grown.ok()) return grown.status();
-  return RunScenarioOn(name, base, grown.value());
-}
-
-Result<ScenarioResult> RunScenarioOn(const std::string& name,
-                                     const ScenarioOptions& base,
-                                     const GrownTopology& grown) {
-  Network scratch;
-  return RunScenarioOn(name, base, grown, &scratch);
-}
-
 Result<ScenarioResult> RunScenarioOn(const std::string& name,
                                      const ScenarioOptions& base,
                                      const GrownTopology& grown,
@@ -398,12 +382,6 @@ Result<ScenarioResult> RunScenarioOn(const std::string& name,
     result.maintenance_sampling_steps += round.report.sampling_steps;
   }
   return result;
-}
-
-Result<size_t> CrossCheckMessageVsSync(const ScenarioOptions& base) {
-  auto grown = GrowScenarioTopology(base);
-  if (!grown.ok()) return grown.status();
-  return CrossCheckMessageVsSync(base, grown.value());
 }
 
 Result<size_t> CrossCheckMessageVsSync(const ScenarioOptions& base,

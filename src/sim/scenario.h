@@ -121,24 +121,16 @@ struct GrownTopology {
 Result<GrownTopology> GrowScenarioTopology(const ScenarioOptions& base);
 
 /// Runs the named scenario's workload against a restore of `grown`,
-/// leaving the snapshot untouched for the next scenario.
-Result<ScenarioResult> RunScenarioOn(const std::string& name,
-                                     const ScenarioOptions& base,
-                                     const GrownTopology& grown);
-
-/// As above, but restoring into a caller-owned scratch network that is
-/// recycled across scenarios: the snapshot's delta restore repairs only
-/// the peers the previous scenario's churn touched (O(touched), nothing
-/// for churn-free scenarios) instead of rebuilding all N peer rows.
-/// Results are identical to the scratch-free overload.
+/// leaving the snapshot untouched for the next scenario. The restore
+/// goes into a caller-owned scratch network that is recycled across
+/// scenarios: the snapshot's delta restore repairs only the peers the
+/// previous scenario's churn touched (O(touched), nothing for
+/// churn-free scenarios) instead of rebuilding all N peer rows, and a
+/// fresh scratch gives the same results.
 Result<ScenarioResult> RunScenarioOn(const std::string& name,
                                      const ScenarioOptions& base,
                                      const GrownTopology& grown,
                                      Network* scratch);
-
-/// Convenience: GrowScenarioTopology + RunScenarioOn for one-off runs.
-Result<ScenarioResult> RunScenario(const std::string& name,
-                                   const ScenarioOptions& base);
 
 /// Equivalence gate between the two engines: restores the grown
 /// network, crashes a fraction of it, routes the same query stream
@@ -149,9 +141,6 @@ Result<ScenarioResult> RunScenario(const std::string& name,
 /// first mismatch.
 Result<size_t> CrossCheckMessageVsSync(const ScenarioOptions& base,
                                        const GrownTopology& grown);
-
-/// Convenience: grows its own topology first.
-Result<size_t> CrossCheckMessageVsSync(const ScenarioOptions& base);
 
 }  // namespace oscar
 

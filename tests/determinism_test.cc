@@ -65,7 +65,11 @@ std::string ScenarioTraceBytes(uint64_t seed) {
   std::ostringstream trace;
   CsvTraceSink sink(&trace);
   base.sim.sink = &sink;
-  auto run = RunScenario("rolling-churn", base);
+  auto grown = GrowScenarioTopology(base);
+  EXPECT_TRUE(grown.ok()) << grown.status();
+  if (!grown.ok()) return "";
+  Network scratch;
+  auto run = RunScenarioOn("rolling-churn", base, grown.value(), &scratch);
   EXPECT_TRUE(run.ok()) << run.status();
   if (!run.ok()) return "";
   EXPECT_GT(trace.str().size(), std::string(CsvTraceSink::Header()).size());

@@ -13,6 +13,16 @@ ScenarioOptions TinyScale() {
   return base;
 }
 
+/// Grows `base`'s topology and runs `name` on a restore of it, as
+/// oscar_sim does.
+Result<ScenarioResult> RunScenario(const std::string& name,
+                                   const ScenarioOptions& base) {
+  auto grown = GrowScenarioTopology(base);
+  if (!grown.ok()) return grown.status();
+  Network scratch;
+  return RunScenarioOn(name, base, grown.value(), &scratch);
+}
+
 TEST(ScenarioTest, EveryCatalogEntryRunsAndCompletes) {
   for (const std::string& name : ScenarioCatalog()) {
     auto run = RunScenario(name, TinyScale());
@@ -78,7 +88,8 @@ TEST(ScenarioTest, SharedGrownTopologyReplaysLikeFreshGrowth) {
   ASSERT_TRUE(grown.ok()) << grown.status();
   for (const std::string name : {"baseline", "rolling-churn"}) {
     auto fresh = RunScenario(name, base);
-    auto replay = RunScenarioOn(name, base, grown.value());
+    Network scratch;
+    auto replay = RunScenarioOn(name, base, grown.value(), &scratch);
     ASSERT_TRUE(fresh.ok()) << fresh.status();
     ASSERT_TRUE(replay.ok()) << replay.status();
     // Restoring the shared snapshot must reproduce the regrown run
@@ -155,7 +166,9 @@ TEST(ScenarioTest, CrossCheckMatchesSynchronousEngine) {
   for (uint64_t seed : {42u, 43u}) {
     ScenarioOptions base = TinyScale();
     base.seed = seed;
-    auto checked = CrossCheckMessageVsSync(base);
+    auto grown = GrowScenarioTopology(base);
+    ASSERT_TRUE(grown.ok()) << grown.status();
+    auto checked = CrossCheckMessageVsSync(base, grown.value());
     ASSERT_TRUE(checked.ok()) << "seed " << seed << ": " << checked.status();
     EXPECT_EQ(checked.value(), 80u);
   }

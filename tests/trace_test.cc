@@ -391,7 +391,10 @@ void RunTracedScenario(uint64_t seed, TraceSink* sink) {
   base.sim.sink = sink;
   base.sim.queue_depth_cadence_ms = 5.0;
   sink->SetScope(sink->Intern("rolling-churn"));
-  auto run = RunScenario("rolling-churn", base);
+  auto grown = GrowScenarioTopology(base);
+  ASSERT_TRUE(grown.ok()) << grown.status();
+  Network scratch;
+  auto run = RunScenarioOn("rolling-churn", base, grown.value(), &scratch);
   ASSERT_TRUE(run.ok()) << run.status();
 }
 

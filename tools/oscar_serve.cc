@@ -17,7 +17,8 @@
 //                                        sets the sample cadence)
 //   oscar_serve --list-policies          print the admission catalog
 //
-// Value flags take `--flag=value` or `--flag value` (TakeFlag).
+// One FlagSet (common/flags.h) parses the flags and prints `--help`.
+// Value flags take `--flag=value` or `--flag value`.
 //
 // Topology scale and seed come from the usual env knobs
 // (OSCAR_BENCH_SCALE/SIZE/SEED); the route-phase worker count from
@@ -25,7 +26,8 @@
 // OSCAR_THREADS for identical knobs — wall-clock throughput goes to
 // stderr.
 //
-// Exit codes: 0 on success, 2 on flag-parse or infrastructure errors.
+// Exit codes: 0 on success, 2 on a rejected invocation (with the usage
+// on stderr) or an infrastructure error.
 
 #include <chrono>
 #include <cstdint>
@@ -34,6 +36,7 @@
 #include <vector>
 
 #include "common/audit.h"
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
@@ -45,34 +48,6 @@
 
 namespace oscar {
 namespace {
-
-void PrintUsage(std::ostream& out) {
-  out << "usage: oscar_serve [--lookups=N] [--rates=r1,r2,...]\n"
-         "                   [--policies=p1,p2,...] [--concurrency=C]\n"
-         "                   [--burst=B] [--hop-ms=MS] [--hot-keys=K]\n"
-         "                   [--zipf=S] [--queue-cap=Q] [--timeout-ms=MS]\n"
-         "                   [--peer-cap=K]\n"
-         "                   [--trace-file=F.otrace] [--queue-cadence-ms=MS]\n"
-         "                   [--list-policies]\n"
-         "policies:";
-  for (const std::string& name : AdmissionCatalog()) out << " " << name;
-  out << "\nrates are offered lookups/s; 0 disables rate limiting "
-         "(burst at t=0)\nvalue flags take --flag=V or --flag V\n"
-         "CSV trace rows: oscar_trace F.otrace --csv\n";
-}
-
-/// Flag-parse rejection: one diagnostic plus the usage text, exit 2.
-int RejectUsage(const std::string& message) {
-  std::cerr << "oscar_serve: " << message << "\n";
-  PrintUsage(std::cerr);
-  return 2;
-}
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 void PrintBanner(const ScenarioOptions& base, const ServeOptions& serve) {
   std::cout << "###############################################\n"
@@ -152,109 +127,48 @@ int RunCli(const std::vector<std::string>& args) {
   ServeOptions serve;
   bool list_policies = false;
   std::string trace_path;
-
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    std::string value;
-    uint64_t number = 0;
-    double real = 0.0;
-    if (arg == "--help" || arg == "-h") {
-      PrintUsage(std::cout);
-      return 0;
-    } else if (arg == "--list-policies") {
-      list_policies = true;
-    } else if (TakeFlag(args, &i, "--lookups", &value)) {
-      if (!ParseUint(value, &number) || number == 0) {
-        return RejectUsage(StrCat("--lookups wants a positive integer, "
-                                  "got '", value, "'"));
-      }
-      serve.lookups = static_cast<size_t>(number);
-    } else if (TakeFlag(args, &i, "--concurrency", &value)) {
-      if (!ParseUint(value, &number) || number == 0) {
-        return RejectUsage(StrCat("--concurrency wants a positive "
-                                  "integer, got '", value, "'"));
-      }
-      serve.concurrency = static_cast<size_t>(number);
-    } else if (TakeFlag(args, &i, "--hot-keys", &value)) {
-      if (!ParseUint(value, &number)) {
-        return RejectUsage(StrCat("--hot-keys wants a non-negative "
-                                  "integer, got '", value, "'"));
-      }
-      serve.hot_keys = static_cast<size_t>(number);
-    } else if (TakeFlag(args, &i, "--queue-cap", &value)) {
-      if (!ParseUint(value, &number) || number == 0) {
-        return RejectUsage(StrCat("--queue-cap wants a positive integer, "
-                                  "got '", value, "'"));
-      }
-      serve.admission.queue_capacity = static_cast<size_t>(number);
-    } else if (TakeFlag(args, &i, "--peer-cap", &value)) {
-      if (!ParseUint(value, &number) || number == 0) {
-        return RejectUsage(StrCat("--peer-cap wants a positive integer, "
-                                  "got '", value, "'"));
-      }
-      serve.admission.per_peer_cap = static_cast<size_t>(number);
-    } else if (TakeFlag(args, &i, "--burst", &value)) {
-      if (!ParseDouble(value, &real) || real <= 0.0) {
-        return RejectUsage(StrCat("--burst wants a positive number, "
-                                  "got '", value, "'"));
-      }
-      serve.burst = real;
-    } else if (TakeFlag(args, &i, "--hop-ms", &value)) {
-      if (!ParseDouble(value, &real) || real <= 0.0) {
-        return RejectUsage(StrCat("--hop-ms wants a positive number, "
-                                  "got '", value, "'"));
-      }
-      serve.hop_ms = real;
-    } else if (TakeFlag(args, &i, "--zipf", &value)) {
-      if (!ParseDouble(value, &real) || real <= 0.0) {
-        return RejectUsage(StrCat("--zipf wants a positive exponent, "
-                                  "got '", value, "'"));
-      }
-      serve.zipf_exponent = real;
-    } else if (TakeFlag(args, &i, "--timeout-ms", &value)) {
-      if (!ParseDouble(value, &real) || real <= 0.0) {
-        return RejectUsage(StrCat("--timeout-ms wants a positive number, "
-                                  "got '", value, "'"));
-      }
-      serve.admission.timeout_ms = real;
-    } else if (TakeFlag(args, &i, "--rates", &value)) {
-      std::vector<std::string> parts = SplitCommaList(value);
-      if (parts.empty()) {
-        return RejectUsage("--rates got an empty list");
-      }
-      serve.offered_rates_per_s.clear();
-      for (const std::string& part : parts) {
-        if (!ParseDouble(part, &real) || real < 0.0) {
-          return RejectUsage(StrCat("--rates wants non-negative numbers, "
+  FlagSet flags("oscar_serve");
+  flags.Uint("--lookups", "N", 1, &serve.lookups);
+  flags.Custom("--rates", "r1,r2,...", [&](const std::string& value) {
+    std::vector<double> rates;
+    for (const std::string& part : SplitCommaList(value)) {
+      double rate = 0.0;
+      if (!ParseDouble(part, &rate) || rate < 0.0) {
+        return Status::Error(StrCat("--rates wants non-negative numbers, "
                                     "got '", part, "'"));
-        }
-        serve.offered_rates_per_s.push_back(real);
       }
-    } else if (TakeFlag(args, &i, "--trace-file", &value)) {
-      if (!trace_path.empty()) {
-        return RejectUsage("duplicate --trace-file (one trace per run)");
-      }
-      if (value.empty()) {
-        return RejectUsage("--trace-file requires a path");
-      }
-      trace_path = value;
-    } else if (TakeFlag(args, &i, "--queue-cadence-ms", &value)) {
-      if (!ParseDouble(value, &real) || real < 0.0) {
-        return RejectUsage(StrCat("--queue-cadence-ms wants a non-negative "
-                                  "number, got '", value, "'"));
-      }
-      serve.trace_cadence_ms = real;
-    } else if (TakeFlag(args, &i, "--policies", &value)) {
-      std::vector<std::string> parts = SplitCommaList(value);
-      if (parts.empty()) {
-        return RejectUsage("--policies got an empty list");
-      }
-      serve.policies = std::move(parts);
-    } else {
-      // Everything else — unknown flags and positional words — is a
-      // rejection: this CLI takes no positional arguments.
-      return RejectUsage(StrCat("unknown argument: '", arg, "'"));
+      rates.push_back(rate);
     }
+    if (rates.empty()) return Status::Error("--rates got an empty list");
+    serve.offered_rates_per_s = std::move(rates);
+    return Status::Ok();
+  });
+  flags.List("--policies", "p1,p2,...", FlagSet::Repeat::kReplace,
+             &serve.policies);
+  flags.Uint("--concurrency", "C", 1, &serve.concurrency);
+  flags.Double("--burst", "B", FlagSet::Sign::kPositive, &serve.burst);
+  flags.Double("--hop-ms", "MS", FlagSet::Sign::kPositive, &serve.hop_ms);
+  flags.Uint("--hot-keys", "K", 0, &serve.hot_keys);
+  flags.Double("--zipf", "S", FlagSet::Sign::kPositive, &serve.zipf_exponent);
+  flags.Uint("--queue-cap", "Q", 1, &serve.admission.queue_capacity);
+  flags.Double("--timeout-ms", "MS", FlagSet::Sign::kPositive,
+               &serve.admission.timeout_ms);
+  flags.Uint("--peer-cap", "K", 1, &serve.admission.per_peer_cap);
+  flags.Path("--trace-file", "F.otrace", &trace_path);
+  flags.Double("--queue-cadence-ms", "MS", FlagSet::Sign::kNonNegative,
+               &serve.trace_cadence_ms);
+  flags.Switch("--list-policies", &list_policies);
+  std::string catalog = "policies:";
+  for (const std::string& name : AdmissionCatalog()) catalog += " " + name;
+  flags.Note(catalog);
+  flags.Note("rates are offered lookups/s; 0 disables rate limiting "
+             "(burst at t=0)");
+  flags.Note("CSV trace rows: oscar_trace F.otrace --csv");
+  const Status parsed = flags.Parse(args);
+  if (!parsed.ok()) return flags.Reject(parsed.message());
+  if (flags.help()) {
+    std::cout << flags.Usage();
+    return 0;
   }
   if (list_policies) {
     for (const std::string& name : AdmissionCatalog()) {
@@ -267,13 +181,13 @@ int RunCli(const std::vector<std::string>& args) {
   for (const std::string& name : serve.policies) {
     if (auto probe = MakeAdmissionPolicy(name, serve.admission);
         !probe.ok()) {
-      return RejectUsage(probe.status().message());
+      return flags.Reject(probe.status().message());
     }
   }
 
   TraceFile trace;
   if (const Status opened = trace.Open(trace_path); !opened.ok()) {
-    return RejectUsage(opened.message());
+    return flags.Reject(opened.message());
   }
   serve.trace = trace.sink();
 

@@ -33,7 +33,8 @@
 // time split is reported on stderr (stdout stays byte-identical across
 // runs with identical knobs; only stderr carries timing).
 //
-// Value flags take `--flag=value` or `--flag value` (TakeFlag).
+// One FlagSet (common/flags.h) parses the flags and prints `--help`.
+// Value flags take `--flag=value` or `--flag value`.
 //
 // Scale and seed come from the same environment knobs the bench
 // harnesses use (see ScaleFromEnv): OSCAR_BENCH_SCALE=small|paper,
@@ -41,8 +42,8 @@
 // Output follows the harness conventions — `#`-prefixed banner, aligned
 // tables.
 //
-// Exit codes: 0 on success, 1 on a failed cross-check, 2 on an
-// infrastructure error (unknown scenario, experiment Status error).
+// Exit codes: 0 on success, 1 on a failed cross-check, 2 on a rejected
+// invocation (with the usage on stderr) or an experiment Status error.
 
 #include <chrono>
 #include <iostream>
@@ -50,6 +51,7 @@
 #include <vector>
 
 #include "common/audit.h"
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "core/experiments.h"
@@ -69,35 +71,6 @@ void PrintBanner(const ExperimentScale& scale) {
             << "###############################################\n";
 }
 
-void PrintUsage(std::ostream& out) {
-  out << "usage: oscar_sim [--list] [--cross-check] "
-         "[--scenarios a,b,c] [--trace-file out.otrace] "
-         "[--queue-cadence-ms N] "
-         "[--maintenance-cadence-ms N] [--fault-plan SPEC] "
-         "[scenario ...]\nvalue flags take --flag V or --flag=V\n"
-         "CSV trace rows: oscar_trace F.otrace --csv\n"
-         "scenarios:";
-  for (const std::string& name : ScenarioCatalog()) {
-    out << " " << name;
-  }
-  out << "\n";
-}
-
-/// Flag-parse rejection: one diagnostic plus the usage line, exit 2
-/// (the CLI's infrastructure-error code, distinct from a failed
-/// cross-check's exit 1).
-int RejectUsage(const std::string& message) {
-  std::cerr << "oscar_sim: " << message << "\n";
-  PrintUsage(std::cerr);
-  return 2;
-}
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 int RunCli(const std::vector<std::string>& args) {
   // Runtime invariant audits (common/audit.h): growth checkpoints,
   // scenario freezes, and delta restores all self-check under
@@ -111,59 +84,36 @@ int RunCli(const std::vector<std::string>& args) {
   double queue_cadence_ms = 10.0;
   double maintenance_cadence_ms = -1.0;  // < 0: scenario decides.
   FaultPlan extra_faults;
+  // Bare names and --scenarios lists accumulate in argument order.
   std::vector<std::string> names;
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    std::string value;
-    double real = 0.0;
-    if (arg == "--list") {
-      list = true;
-    } else if (arg == "--cross-check") {
-      cross_check = true;
-    } else if (TakeFlag(args, &i, "--scenarios", &value)) {
-      // Repeats accumulate (like listing the names bare).
-      std::vector<std::string> parsed = SplitCommaList(value);
-      if (parsed.empty()) {
-        return RejectUsage("--scenarios got an empty list");
-      }
-      for (std::string& name : parsed) names.push_back(std::move(name));
-    } else if (TakeFlag(args, &i, "--trace-file", &value)) {
-      if (!trace_path.empty()) {
-        return RejectUsage("duplicate --trace-file (one trace per run)");
-      }
-      if (value.empty()) {
-        return RejectUsage("--trace-file requires a path");
-      }
-      trace_path = value;
-    } else if (TakeFlag(args, &i, "--queue-cadence-ms", &value)) {
-      if (!ParseDouble(value, &real) || real < 0.0) {
-        return RejectUsage(StrCat("--queue-cadence-ms wants a non-negative "
-                                  "number, got '", value, "'"));
-      }
-      queue_cadence_ms = real;
-    } else if (TakeFlag(args, &i, "--maintenance-cadence-ms", &value)) {
-      if (!ParseDouble(value, &real) || real < 0.0) {
-        return RejectUsage(StrCat("--maintenance-cadence-ms wants a "
-                                  "non-negative number, got '", value, "'"));
-      }
-      maintenance_cadence_ms = real;
-    } else if (TakeFlag(args, &i, "--fault-plan", &value)) {
-      auto parsed = ParseFaultPlan(value);
-      if (!parsed.ok()) {
-        return RejectUsage(parsed.status().message());
-      }
-      // Repeats accumulate, like the scenario list.
-      for (FaultSpec& spec : parsed.value().faults) {
-        extra_faults.faults.push_back(std::move(spec));
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      PrintUsage(std::cout);
-      return 0;
-    } else if (arg.rfind("-", 0) == 0) {
-      return RejectUsage(StrCat("unknown flag: '", arg, "'"));
-    } else {
-      names.push_back(arg);
+  FlagSet flags("oscar_sim");
+  flags.Switch("--list", &list);
+  flags.Switch("--cross-check", &cross_check);
+  flags.List("--scenarios", "a,b,c", FlagSet::Repeat::kAccumulate, &names);
+  flags.Path("--trace-file", "out.otrace", &trace_path);
+  flags.Double("--queue-cadence-ms", "N", FlagSet::Sign::kNonNegative,
+               &queue_cadence_ms);
+  flags.Double("--maintenance-cadence-ms", "N", FlagSet::Sign::kNonNegative,
+               &maintenance_cadence_ms);
+  flags.Custom("--fault-plan", "SPEC", [&](const std::string& value) {
+    auto parsed = ParseFaultPlan(value);
+    if (!parsed.ok()) return parsed.status();
+    // Repeats accumulate, like the scenario list.
+    for (FaultSpec& spec : parsed.value().faults) {
+      extra_faults.faults.push_back(std::move(spec));
     }
+    return Status::Ok();
+  });
+  flags.Positional("[scenario ...]", &names);
+  flags.Note("CSV trace rows: oscar_trace F.otrace --csv");
+  std::string catalog = "scenarios:";
+  for (const std::string& name : ScenarioCatalog()) catalog += " " + name;
+  flags.Note(catalog);
+  const Status parsed = flags.Parse(args);
+  if (!parsed.ok()) return flags.Reject(parsed.message());
+  if (flags.help()) {
+    std::cout << flags.Usage();
+    return 0;
   }
 
   const ExperimentScale scale = ScaleFromEnv();
@@ -188,13 +138,13 @@ int RunCli(const std::vector<std::string>& args) {
   // bad one's predecessors, so `valid,bogus` still exits 2.
   for (const std::string& name : names) {
     if (auto probe = MakeScenarioOptions(name, base); !probe.ok()) {
-      return RejectUsage(probe.status().message());
+      return flags.Reject(probe.status().message());
     }
   }
 
   TraceFile trace;
   if (const Status opened = trace.Open(trace_path); !opened.ok()) {
-    return RejectUsage(opened.message());
+    return flags.Reject(opened.message());
   }
 
   PrintBanner(scale);

@@ -15,10 +15,11 @@
 //                                         heatmap resolution
 //   oscar_trace run.otrace --no-heatmap   summaries only
 //
-// Value flags take `--flag=value` or `--flag value` (TakeFlag).
+// One FlagSet (common/flags.h) parses the flags and prints `--help`.
+// Value flags take `--flag=value` or `--flag value`.
 //
-// Exit codes: 0 on success, 2 on flag-parse errors or an unreadable /
-// corrupt trace file.
+// Exit codes: 0 on success, 2 on a rejected invocation or an
+// unreadable / corrupt trace file (with the usage on stderr).
 
 #include <algorithm>
 #include <cstdint>
@@ -29,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/string_util.h"
 #include "metrics/message_metrics.h"
 #include "trace/trace.h"
@@ -36,20 +38,6 @@
 
 namespace oscar {
 namespace {
-
-void PrintUsage(std::ostream& out) {
-  out << "usage: oscar_trace FILE.otrace [--csv] [--no-heatmap]\n"
-         "                   [--time-buckets=N] [--peer-buckets=N]\n"
-         "modes: default = per-scope summaries + heatmap; --csv = decode\n"
-         "to the t_ms,scenario,event,... CSV rows on stdout\n"
-         "value flags take --flag=N or --flag N\n";
-}
-
-int RejectUsage(const std::string& message) {
-  std::cerr << "oscar_trace: " << message << "\n";
-  PrintUsage(std::cerr);
-  return 2;
-}
 
 /// Everything the summary mode aggregates for one scope (scenario or
 /// sweep cell), in first-appearance order.
@@ -253,48 +241,30 @@ void ReplayCsv(const TraceContents& contents) {
 }
 
 int RunCli(const std::vector<std::string>& args) {
-  std::string path;
   bool csv = false;
-  bool heatmap = true;
-  uint64_t time_buckets = 72;
-  uint64_t peer_buckets = 16;
-
-  for (size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    std::string value;
-    if (arg == "--help" || arg == "-h") {
-      PrintUsage(std::cout);
-      return 0;
-    } else if (arg == "--csv") {
-      csv = true;
-    } else if (arg == "--no-heatmap") {
-      heatmap = false;
-    } else if (TakeFlag(args, &i, "--time-buckets", &value)) {
-      if (!ParseUint(value, &time_buckets) || time_buckets == 0 ||
-          time_buckets > 512) {
-        return RejectUsage(StrCat("--time-buckets wants 1..512, got '",
-                                  value, "'"));
-      }
-    } else if (TakeFlag(args, &i, "--peer-buckets", &value)) {
-      if (!ParseUint(value, &peer_buckets) || peer_buckets == 0 ||
-          peer_buckets > 256) {
-        return RejectUsage(StrCat("--peer-buckets wants 1..256, got '",
-                                  value, "'"));
-      }
-    } else if (!arg.empty() && arg[0] == '-') {
-      return RejectUsage(StrCat("unknown flag: '", arg, "'"));
-    } else if (path.empty()) {
-      path = arg;
-    } else {
-      return RejectUsage("expected exactly one trace file");
-    }
+  bool no_heatmap = false;
+  size_t time_buckets = 72;
+  size_t peer_buckets = 16;
+  std::vector<std::string> files;
+  FlagSet flags("oscar_trace");
+  flags.Switch("--csv", &csv);
+  flags.Switch("--no-heatmap", &no_heatmap);
+  flags.Uint("--time-buckets", "N", 1, &time_buckets, 512);
+  flags.Uint("--peer-buckets", "N", 1, &peer_buckets, 256);
+  flags.Positional("FILE.otrace", &files);
+  flags.Note("modes: default = per-scope summaries + heatmap; --csv = decode");
+  flags.Note("to the t_ms,scenario,event,... CSV rows on stdout");
+  const Status parsed = flags.Parse(args);
+  if (!parsed.ok()) return flags.Reject(parsed.message());
+  if (flags.help()) {
+    std::cout << flags.Usage();
+    return 0;
   }
-  if (path.empty()) {
-    return RejectUsage("missing trace file argument");
-  }
+  if (files.size() != 1) return flags.Reject("expected one FILE.otrace");
+  const std::string& path = files.front();
 
   auto decoded = ReadTraceFile(path);
-  if (!decoded.ok()) return RejectUsage(decoded.status().message());
+  if (!decoded.ok()) return flags.Reject(decoded.status().message());
   const TraceContents& contents = decoded.value();
 
   if (csv) {
@@ -324,8 +294,7 @@ int RunCli(const std::vector<std::string>& args) {
             << " scopes, " << contents.strings.size()
             << " interned strings\n\n";
   for (const ScopeStats& scope : scopes) {
-    PrintScopeSummary(scope, heatmap, static_cast<size_t>(time_buckets),
-                      static_cast<size_t>(peer_buckets));
+    PrintScopeSummary(scope, !no_heatmap, time_buckets, peer_buckets);
   }
   return 0;
 }
